@@ -39,7 +39,6 @@
 #include "defacto/Core/DesignSpace.h"
 #include "defacto/Core/EstimateCache.h"
 #include "defacto/Core/Saturation.h"
-#include "defacto/Core/TransformStageCache.h"
 #include "defacto/HLS/Estimator.h"
 #include "defacto/Support/Error.h"
 #include "defacto/Support/ThreadPool.h"
@@ -58,13 +57,6 @@ namespace defacto {
 
 class CircuitBreakerRegistry;
 struct ExplorationResult;
-
-/// Evaluation fast-path selector (ExplorerOptions::FastPath).
-enum class FastPathMode {
-  Off,    ///< Historical per-candidate evaluation, bit for bit.
-  On,     ///< Staged pipeline, arena clones, memoized scheduling.
-  Verify, ///< Run both paths, assert bit-equality, return the slow result.
-};
 
 /// Exploration configuration, shared by every search strategy and the
 /// evaluation service underneath them.
@@ -89,8 +81,11 @@ struct ExplorerOptions {
   // what one exploration may spend on it and how it recovers.
   //===--------------------------------------------------------------===//
 
-  /// Estimation backend; estimateDesignChecked when unset. FaultInjector
-  /// (HLS/FaultInjector.h) wraps one backend in a fault-injecting one.
+  /// Estimation backend. Unset: the built-in estimator, called as
+  /// estimateVerifiedDesign because the transform pipeline has just
+  /// verified the kernel. An injected backend receives the same verified
+  /// kernel. FaultInjector (HLS/FaultInjector.h) wraps one backend in a
+  /// fault-injecting one.
   EstimatorFn Estimator;
   /// Extra attempts after a failed estimation of the same design. A
   /// design failing all 1 + MaxRetries attempts is negatively cached and
@@ -149,26 +144,6 @@ struct ExplorerOptions {
   /// the explorer creates a private cache, i.e. per-instance memoization
   /// exactly as before.
   std::shared_ptr<EstimateCache> Cache;
-
-  //===--------------------------------------------------------------===//
-  // Fast path. An evaluation-speed lever, never a results lever: every
-  // mode produces the same estimates, the same winners, and the same
-  // decision digest (fastpath_parity_test and Verify enforce it).
-  //===--------------------------------------------------------------===//
-
-  /// Off: the historical per-candidate pipeline. On: arena-allocated IR
-  /// clones, memoized transform-stage prefixes (StageCache), the scalar-
-  /// replacement site index, skipping the pipeline's verification pass
-  /// when the built-in checked estimator re-verifies anyway, and the
-  /// replication-aware estimator (estimateDesignCheckedFast). Verify:
-  /// run both paths for every attempt, compare every estimate field
-  /// bit-exactly (violations increment fastpath.parity_violations), and
-  /// return the slow result.
-  FastPathMode FastPath = FastPathMode::Off;
-  /// Transform-stage snapshots shared across explorers, runs, and
-  /// threads. Unset with FastPath != Off: the service creates a private
-  /// cache.
-  std::shared_ptr<TransformStageCache> StageCache;
 
   //===--------------------------------------------------------------===//
   // Observability. Off by default and zero-cost while off: a disabled
@@ -232,9 +207,6 @@ public:
   /// (unroll + optional interchange/tile) under the same degradation
   /// policy and caches. For an unroll-only point this is bit-identical
   /// to evaluateChecked(P.Unroll) — same cache key, same trace events.
-  /// Non-unroll-only points always take the historical (slow) pipeline
-  /// route: the stage-cache factorization is only proven for the
-  /// default shape.
   Expected<SynthesisEstimate> evaluateChecked(const DesignPoint &P);
 
   /// evaluate() over a design point.
@@ -270,7 +242,8 @@ public:
   //===--------------------------------------------------------------===//
 
   const Kernel &source() const { return Source; }
-  /// The normalized options (never-null Estimator/Clock/Sleep).
+  /// The normalized options (never-null Clock/Sleep; Estimator stays
+  /// unset for the built-in backend).
   const ExplorerOptions &options() const { return Opts; }
   const UnrollSpace &space() const { return Space; }
   /// The generalized space composing the unroll lattice with interchange
@@ -359,34 +332,23 @@ public:
   static uint64_t inFlightEvaluations();
 
 private:
-  /// One raw estimation attempt: transform pipeline + estimator (+ the
-  /// §5.4 register-cap shrink loop). Thread-safe: touches only the
-  /// shared read-only PipelineContext and the options. The single
-  /// instrumentation chokepoint: records eval.latency_us and the
-  /// estimate.* distributions, and tracks the in-flight gauge.
+  /// One raw estimation attempt, instrumented: records eval.latency_us
+  /// and the estimate.* distributions around compute(), and tracks the
+  /// in-flight gauge. The single instrumentation chokepoint.
   Expected<SynthesisEstimate> computeRaw(const DesignPoint &P) const;
-  /// computeRaw minus instrumentation: dispatches on Opts.FastPath;
-  /// Verify runs both routes and compares. Non-unroll-only points and
-  /// custom pipelines always route slow (the stage factorization is only
-  /// proven for the default shape).
-  Expected<SynthesisEstimate> computeDispatch(const DesignPoint &P) const;
-  /// The historical route: applyPipeline + configured backend.
-  Expected<SynthesisEstimate> computeSlow(const DesignPoint &P) const;
-  /// The staged route: FastPathPipeline over this worker's IR arena,
-  /// estimateDesignCheckedFast when the backend is the built-in one.
-  Expected<SynthesisEstimate> computeFast(const DesignPoint &P) const;
+  /// The one evaluation route: applyPipeline (which verifies the
+  /// transformed kernel), the configured backend, and the §5.4
+  /// register-cap shrink loop. Thread-safe: touches only the shared
+  /// read-only PipelineContext and the options.
+  Expected<SynthesisEstimate> compute(const DesignPoint &P) const;
   /// The per-point transform configuration: BaseTransforms plus the
   /// point's unroll vector (and interchange/tile when set) plus the
   /// platform's memory count.
   TransformOptions transformOptionsFor(const DesignPoint &P) const;
-  /// The estimator seam both routes share: invocation timing, the hang
-  /// watchdog, the dse.cancel trace event. \p FastBackend substitutes
-  /// estimateDesignCheckedFast for the configured estimator.
+  /// The estimator seam: invocation timing, the hang watchdog, the
+  /// dse.cancel trace event.
   Expected<SynthesisEstimate> invokeBackend(const Kernel &K,
-                                            const DesignPoint &P,
-                                            bool FastBackend) const;
-  /// Emits one run-variant "dse.stagecache" trace event.
-  void traceStageCache(const DesignPoint &P, const StageRunInfo &Info) const;
+                                            const DesignPoint &P) const;
   std::string cacheKey(const DesignPoint &P) const;
   std::shared_ptr<ThreadPool> workerPool();
   /// Appends to the bounded failure ring, evicting (and counting) the
@@ -406,14 +368,6 @@ private:
   uint64_t SourceFp = 0;
   std::vector<unsigned> Preference; // nest positions, best first
   std::shared_ptr<EstimateCache> Estimates; // never null
-  /// Stage snapshots (never null when FastPath != Off) and the staged
-  /// pipeline over Ctx; unset in Off mode.
-  std::shared_ptr<TransformStageCache> Stages;
-  std::optional<FastPathPipeline> FastPipeline;
-  /// No estimator was injected, i.e. the backend is the built-in checked
-  /// estimator — the precondition for the fast estimator substitution
-  /// and for skipping the pipeline's redundant verification pass.
-  bool DefaultEstimator = false;
   std::shared_ptr<ThreadPool> Pool;         // created lazily when parallel
   std::vector<std::future<void>> Speculation;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes

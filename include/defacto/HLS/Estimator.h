@@ -102,26 +102,17 @@ using EstimatorFn =
 
 /// The recoverable entry point: verifies \p K first and reports
 /// ErrorCode::MalformedIR instead of computing garbage on invalid IR,
-/// then estimates. This is the default backend behind ExplorerOptions.
+/// then estimates. FaultInjector::wrapDefault wraps this backend.
 Expected<SynthesisEstimate>
 estimateDesignChecked(const Kernel &K, const TargetPlatform &Platform);
 
-/// estimateDesign(), replication-aware: an unrolled body is U structurally
-/// identical copies of a base body, so the straight-line segments a sweep
-/// schedules repeat across candidates. This variant memoizes list
-/// scheduling per (DFG content, platform) in a per-thread table (exact
-/// key compare — a hit returns the bit-identical SegmentSchedule) and
-/// fuses the register/rotation-mux area walks into one traversal. Every
-/// area term is a dyadic rational, so the fused summation is exact and
-/// the result equals estimateDesign() bit for bit; fastpath_parity_test
-/// and FastPath::Verify enforce that.
-SynthesisEstimate estimateDesignFast(const Kernel &K,
-                                     const TargetPlatform &Platform);
-
-/// estimateDesignChecked() over estimateDesignFast(): same verification,
-/// cancellation, and degeneracy reporting, bit-identical results.
+/// estimateDesignChecked() minus the verification, for a caller that
+/// has just verified \p K. This is the default backend behind
+/// ExplorerOptions: EvaluationService estimates the output of
+/// applyPipeline, which verifies every kernel it returns. Still reports
+/// a watchdog cancellation and a degenerate estimate as errors.
 Expected<SynthesisEstimate>
-estimateDesignCheckedFast(const Kernel &K, const TargetPlatform &Platform);
+estimateVerifiedDesign(const Kernel &K, const TargetPlatform &Platform);
 
 } // namespace defacto
 

@@ -48,13 +48,6 @@ public:
   /// Kernel); use Kernel::clone for a whole-program copy that remaps them.
   ExprPtr clone() const;
 
-  /// Node storage comes from the calling thread's active IRArena when one
-  /// is installed (see Support/Arena.h); deletion of arena-backed nodes is
-  /// a no-op, reclaimed wholesale by IRArena::reset().
-  void *operator new(std::size_t Size);
-  void operator delete(void *P) noexcept;
-  void operator delete(void *P, std::size_t) noexcept;
-
 protected:
   explicit Expr(Kind K) : TheKind(K) {}
 

@@ -25,8 +25,6 @@
 
 namespace defacto {
 
-class IRArena;
-
 /// One loop-nest computation plus its variable declarations.
 class Kernel {
 public:
@@ -84,13 +82,6 @@ public:
   /// Deep copy: clones declarations and statements, remapping all
   /// declaration pointers into the new kernel.
   Kernel clone() const;
-
-  /// Deep copy whose Expr/Stmt nodes are carved from \p Arena (one bump
-  /// per node instead of a heap allocation; see Support/Arena.h). The
-  /// caller must not let the clone outlive the arena's next reset().
-  /// Declarations stay heap-allocated, so decl pointers remain valid for
-  /// the Kernel's own lifetime as usual.
-  Kernel cloneInto(IRArena &Arena) const;
 
   /// Outermost ForStmt of the kernel body if the body is a single loop,
   /// else null.

@@ -37,11 +37,6 @@ public:
   /// Deep copy; declaration pointers are shared (see Expr::clone).
   StmtPtr clone() const;
 
-  /// Arena-aware node storage, mirroring Expr (see Support/Arena.h).
-  void *operator new(std::size_t Size);
-  void operator delete(void *P) noexcept;
-  void operator delete(void *P, std::size_t) noexcept;
-
 protected:
   explicit Stmt(Kind K) : TheKind(K) {}
 

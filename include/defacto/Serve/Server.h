@@ -9,9 +9,9 @@
 /// that answers "which unroll vector?" over a Unix-domain socket and
 /// keeps every expensive cache warm across requests. The paper prunes
 /// ~99.7% of the design space per query; the server amortizes the rest
-/// across queries — a repeat or near-repeat request consumes memoized
-/// estimates and transform-stage snapshots instead of re-running the
-/// synthesis estimator.
+/// across queries — a repeat request consumes memoized estimates
+/// instead of re-running the transform pipeline and the synthesis
+/// estimator.
 ///
 /// Architecture (one DseServer instance per daemon):
 ///
@@ -24,8 +24,8 @@
 ///                        ▼                             429 analogue)
 ///                 batch worker: drains up to MaxBatch queued requests,
 ///                 coalesces them into ONE BatchExplorer run over the
-///                 process-lifetime EstimateCache / TransformStageCache /
-///                 worker pool, then fulfills each request's reply
+///                 process-lifetime EstimateCache / worker pool, then
+///                 fulfills each request's reply
 ///
 /// Resilience reuses the Core seams wholesale: per-request Cancellation
 /// deadline tokens (expired requests answer "deadline" without spending
@@ -76,9 +76,6 @@ struct ServeOptions {
   unsigned MaxQueueDepth = 64;
   /// Requests coalesced into one BatchExplorer run.
   unsigned MaxBatch = 8;
-  /// Evaluation fast path for served explorations; the stage cache is
-  /// shared across every request when enabled.
-  FastPathMode FastPath = FastPathMode::On;
   /// Per-evaluation hang watchdog (ExplorerOptions::WatchdogSeconds).
   double WatchdogSeconds = 0;
   /// Per-platform circuit breaker; 0 disables.
@@ -132,9 +129,6 @@ public:
   const std::shared_ptr<EstimateCache> &estimateCache() const {
     return Cache;
   }
-  const std::shared_ptr<TransformStageCache> &stageCache() const {
-    return StageCache;
-  }
 
   /// Journal entries replayed into the cache at start().
   unsigned resumedEvaluations() const { return ResumedEvals; }
@@ -149,7 +143,7 @@ public:
   uint64_t inFlightJobs() const { return InFlight.load(); }
 
   /// Registers the daemon's gauges (serve_queue_depth, serve_in_flight,
-  /// cache_designs, stage_entries, in_flight_evals, breakers_open) on
+  /// cache_designs, in_flight_evals, breakers_open) on
   /// \p Sampler. Call before Sampler.start().
   void registerGauges(MetricsSampler &Sampler);
 
@@ -173,7 +167,6 @@ private:
 
   // Process-lifetime warm state, shared by every served batch.
   std::shared_ptr<EstimateCache> Cache;
-  std::shared_ptr<TransformStageCache> StageCache; // null when FastPath off
   std::shared_ptr<ThreadPool> Pool;                // null when NumThreads <= 1
   std::shared_ptr<CircuitBreakerRegistry> Breakers;
   std::shared_ptr<EvaluationJournal> Journal;

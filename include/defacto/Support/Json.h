@@ -1,4 +1,4 @@
-//===- Json.h - Minimal JSON syntax validation -----------------*- C++ -*-===//
+//===- Json.h - Minimal JSON reader and writer helpers ---------*- C++ -*-===//
 //
 // Part of the DEFACTO-DSE project, under the MIT License.
 //
@@ -7,12 +7,12 @@
 /// \file
 /// A dependency-free JSON toolkit, just enough for the repo's own needs:
 ///
-///  - isValidJson: syntax checking (RFC 8259 grammar) the tests use to
-///    assert the trace/stats exporters and BENCH_dse.json emit
-///    well-formed documents;
-///  - parseJson/JsonValue: a small document tree for readers of our own
-///    machine-generated output — the evaluation journal loads its JSONL
-///    records through it on resume;
+///  - parseJson/JsonValue: a small document tree (RFC 8259 grammar) for
+///    readers of our own machine-generated output — the evaluation
+///    journal loads its JSONL records through it on resume, the daemon
+///    decodes its requests with it;
+///  - isValidJson: "parseJson succeeds", which the tests use to assert
+///    the trace/stats exporters emit well-formed documents;
 ///  - jsonQuote: string escaping for the writers.
 ///
 /// Numbers are kept as raw text (the journal round-trips doubles through
@@ -32,9 +32,9 @@
 
 namespace defacto {
 
-/// True when \p Text is exactly one well-formed JSON value (trailing
-/// whitespace permitted). On failure \p Error, when non-null, receives a
-/// byte offset and reason.
+/// True when parseJson(\p Text) succeeds: exactly one well-formed JSON
+/// value (trailing whitespace permitted). On failure \p Error, when
+/// non-null, receives parseJson's message (a byte offset and reason).
 bool isValidJson(const std::string &Text, std::string *Error = nullptr);
 
 /// One parsed JSON value. Small and concrete: members/elements own their
@@ -67,8 +67,16 @@ struct JsonValue {
   double num(const std::string &Key, double Default = 0) const;
 
   /// Member \p Key parsed as an unsigned 64-bit integer (number or
-  /// string content); \p Default when absent or unparsable.
+  /// string content); \p Default when absent or unparsable. Lenient:
+  /// for untrusted input use checkedUint.
   uint64_t uint(const std::string &Key, uint64_t Default = 0) const;
+
+  /// Member \p Key as an exact integer in [0, \p Max] (number or string
+  /// content of decimal digits only); \p Default when absent. A
+  /// negative, fractional, non-numeric, or out-of-range value is an
+  /// InvalidInput error — never wrapped or truncated.
+  Expected<uint64_t> checkedUint(const std::string &Key, uint64_t Max,
+                                 uint64_t Default = 0) const;
 
   /// Member \p Key as a bool; \p Default when absent or not a bool.
   bool boolean(const std::string &Key, bool Default = false) const;

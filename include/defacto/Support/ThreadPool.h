@@ -69,7 +69,8 @@ public:
   /// Blocks until the queue is empty and every worker is idle.
   void wait();
 
-  /// Tasks executed since construction.
+  /// Tasks a worker has started since construction (finished or still
+  /// running); every task whose future is ready is counted.
   uint64_t tasksRun() const;
 
   /// Tasks queued or currently executing — the live backlog a metrics

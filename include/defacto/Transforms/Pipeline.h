@@ -79,25 +79,12 @@ struct TransformResult {
   explicit TransformResult(Kernel Transformed) : K(std::move(Transformed)) {}
 };
 
-/// Runs the pipeline on a clone of \p Source. The unroll vector must be
-/// valid for the (possibly strip-mined) nest or UnrollApplied is false
-/// and only the remaining passes run. Never aborts: failures are
-/// reported through TransformResult::Error.
+/// Runs the pipeline on a clone of \p Source and verifies the result.
+/// The unroll vector must be valid for the (possibly strip-mined) nest or
+/// UnrollApplied is false and only the remaining passes run. Never
+/// aborts: failures are reported through TransformResult::Error.
 TransformResult applyPipeline(const Kernel &Source,
                               const TransformOptions &Opts);
-
-/// The pipeline stages downstream of unroll-and-jam + renormalization:
-/// scalar replacement, peeling, constant folding, data layout, and —
-/// unless \p SkipVerify — final IR verification. \p Staged must already
-/// be strip-mined (if requested), unrolled, and normalized; callers that
-/// memoize that prefix (TransformStageCache) clone the snapshot and
-/// resume here. Opts.Unroll/Opts.StripMine are not consulted.
-/// \p UnrollApplied is recorded verbatim in the result. \p ErrorFallback
-/// is cloned only on failure. SkipVerify is sound only when the consumer
-/// re-verifies (estimateDesignChecked does).
-TransformResult finishPipeline(Kernel Staged, const TransformOptions &Opts,
-                               const Kernel &ErrorFallback,
-                               bool UnrollApplied, bool SkipVerify = false);
 
 /// Unroll-invariant per-kernel state, hoisted out of the per-design path:
 /// the source kernel normalized exactly once. A context is immutable

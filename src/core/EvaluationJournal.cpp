@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 using namespace defacto;
@@ -96,10 +98,24 @@ std::string jobLine(const JournalJobRecord &J) {
   return OS.str();
 }
 
+/// Member \p Key as an unsigned count, or nullopt when it is out of
+/// range (the record is corrupt; it is skipped, never wrapped).
+std::optional<unsigned> checkedUnsigned(const JsonValue &V, const char *Key,
+                                        unsigned Default) {
+  Expected<uint64_t> N =
+      V.checkedUint(Key, std::numeric_limits<unsigned>::max(), Default);
+  if (!N)
+    return std::nullopt;
+  return static_cast<unsigned>(*N);
+}
+
 bool parseEstimate(const JsonValue &V, SynthesisEstimate &E) {
   E.Cycles = V.uint("cycles");
   E.Slices = V.num("slices");
-  E.Registers = static_cast<unsigned>(V.uint("registers"));
+  std::optional<unsigned> Registers = checkedUnsigned(V, "registers", 0);
+  if (!Registers)
+    return false;
+  E.Registers = *Registers;
   if (const JsonValue *Units = V.find("units")) {
     if (!Units->isArray())
       return false;
@@ -138,14 +154,16 @@ bool parseLine(const std::string &Line, EvaluationJournal::Contents &C) {
     std::string Key = V.str("key");
     if (Key.empty())
       return false;
-    unsigned Attempts = static_cast<unsigned>(V.uint("attempts", 1));
+    std::optional<unsigned> Attempts = checkedUnsigned(V, "attempts", 1);
+    if (!Attempts)
+      return false;
     if (const JsonValue *Est = V.find("est")) {
       SynthesisEstimate E;
       if (!parseEstimate(*Est, E))
         return false;
       C.Evaluations.emplace_back(
           Key, EstimateCache::Result{Expected<SynthesisEstimate>(E),
-                                     Attempts});
+                                     *Attempts});
       return true;
     }
     if (const JsonValue *Err = V.find("err")) {
@@ -157,7 +175,7 @@ bool parseLine(const std::string &Line, EvaluationJournal::Contents &C) {
           EstimateCache::Result{
               Expected<SynthesisEstimate>(Status::error(
                   errorCodeFromName(CodeName), Err->str("msg"))),
-              Attempts});
+              *Attempts});
       return true;
     }
     return false;
@@ -171,7 +189,10 @@ bool parseLine(const std::string &Line, EvaluationJournal::Contents &C) {
     J.Selected = V.str("selected");
     J.Cycles = V.uint("cycles");
     J.Slices = V.num("slices");
-    J.Evaluations = static_cast<unsigned>(V.uint("evals"));
+    std::optional<unsigned> Evaluations = checkedUnsigned(V, "evals", 0);
+    if (!Evaluations)
+      return false;
+    J.Evaluations = *Evaluations;
     J.Degraded = V.boolean("degraded");
     J.Fits = V.boolean("fits", true);
     C.Jobs.push_back(std::move(J));

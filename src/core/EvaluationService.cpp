@@ -10,7 +10,6 @@
 #include "defacto/Core/CircuitBreaker.h"
 #include "defacto/Core/SearchStrategy.h"
 #include "defacto/IR/IRUtils.h"
-#include "defacto/Support/Arena.h"
 #include "defacto/Support/Cancellation.h"
 #include "defacto/Support/Histogram.h"
 #include "defacto/Support/MathExtras.h"
@@ -31,9 +30,6 @@ DEFACTO_STATISTIC(NumWatchdogCancels, "explore", "watchdog-cancels",
                   "estimator invocations cancelled by the hang watchdog");
 DEFACTO_STATISTIC(NumDroppedFailures, "explore", "dropped-failures",
                   "failure-log entries evicted by the ring bound");
-DEFACTO_STATISTIC(NumParityViolations, "fastpath", "parity_violations",
-                  "verify-mode attempts where fast and slow estimates "
-                  "disagreed");
 
 EvaluationService::EvaluationService(const Kernel &Source,
                                      ExplorerOptions Opts)
@@ -41,11 +37,6 @@ EvaluationService::EvaluationService(const Kernel &Source,
       Sat(computeSaturation(Source, this->Opts.Platform.NumMemories)),
       Space(Sat.Trips.empty() ? std::vector<int64_t>{1} : Sat.Trips),
       DSpace(Space), Ctx(Source), SourceFp(kernelFingerprint(Source)) {
-  DefaultEstimator = !this->Opts.Estimator;
-  if (!this->Opts.Estimator)
-    this->Opts.Estimator = [](const Kernel &K, const TargetPlatform &P) {
-      return estimateDesignChecked(K, P);
-    };
   if (!this->Opts.Clock)
     this->Opts.Clock = [] {
       return std::chrono::duration<double>(
@@ -60,11 +51,6 @@ EvaluationService::EvaluationService(const Kernel &Source,
     };
   Estimates = this->Opts.Cache ? this->Opts.Cache
                                : std::make_shared<EstimateCache>();
-  if (this->Opts.FastPath != FastPathMode::Off) {
-    Stages = this->Opts.StageCache ? this->Opts.StageCache
-                                   : std::make_shared<TransformStageCache>();
-    FastPipeline.emplace(Ctx, Stages);
-  }
   Track = this->Opts.TraceLabel.empty() ? Source.name()
                                         : this->Opts.TraceLabel;
   StartSeconds = this->Opts.Clock();
@@ -222,8 +208,8 @@ void EvaluationService::traceSelection(const ExplorationResult &Res) {
 }
 
 Expected<SynthesisEstimate>
-EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
-                                 bool FastBackend) const {
+EvaluationService::invokeBackend(const Kernel &K,
+                                 const DesignPoint &P) const {
   // Estimation backends are arbitrary callables (a real synthesis tool
   // behind a wrapper); time every invocation at this seam. The hang
   // watchdog arms a fresh deadline token per invocation: a cooperative
@@ -231,20 +217,9 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
   // loops; a FaultInjector hang polls between simulated sleeps) observes
   // it thread-locally and returns ErrorCode::Cancelled.
   auto Call = [&]() -> Expected<SynthesisEstimate> {
-    if (!FastBackend)
+    if (Opts.Estimator)
       return Opts.Estimator(K, Opts.Platform);
-    // The fast route already verified this kernel's lineage: the stage
-    // snapshot is verified once when built, and the unstaged fallback
-    // runs the full pipeline including its verification pass. Estimate
-    // without re-verifying per candidate.
-    SynthesisEstimate Est = estimateDesignFast(K, Opts.Platform);
-    if (Status Cancel = currentCancelStatus(); !Cancel.isOk())
-      return Cancel;
-    if (Est.Cycles == 0 || Est.Slices <= 0.0)
-      return Status::error(ErrorCode::EstimationFailed,
-                           "estimator returned a degenerate design (cycles=" +
-                               std::to_string(Est.Cycles) + ")");
-    return Est;
+    return estimateVerifiedDesign(K, Opts.Platform);
   };
   DEFACTO_SCOPED_TIMER("estimator.invoke");
   if (Opts.WatchdogSeconds <= 0)
@@ -274,13 +249,15 @@ EvaluationService::invokeBackend(const Kernel &K, const DesignPoint &P,
 }
 
 Expected<SynthesisEstimate>
-EvaluationService::computeSlow(const DesignPoint &P) const {
+EvaluationService::compute(const DesignPoint &P) const {
   TransformOptions TO = transformOptionsFor(P);
 
+  // applyPipeline verifies its output, so every kernel reaching the
+  // backend below has been verified exactly once.
   TransformResult R = applyPipeline(Ctx, TO);
   if (!R.ok())
     return R.Error;
-  Expected<SynthesisEstimate> Est = invokeBackend(R.K, P, false);
+  Expected<SynthesisEstimate> Est = invokeBackend(R.K, P);
   if (!Est)
     return Est;
 
@@ -295,77 +272,12 @@ EvaluationService::computeSlow(const DesignPoint &P) const {
       TransformResult Capped = applyPipeline(Ctx, TO);
       if (!Capped.ok())
         return Capped.Error;
-      Est = invokeBackend(Capped.K, P, false);
+      Est = invokeBackend(Capped.K, P);
       if (!Est)
         return Est;
     }
   }
   return Est;
-}
-
-Expected<SynthesisEstimate>
-EvaluationService::computeFast(const DesignPoint &P) const {
-  TransformOptions TO = transformOptionsFor(P);
-  // The site index accelerates scalar replacement without changing what
-  // it emits; gated here so Off stays the untouched historical path.
-  TO.SR.UseSiteIndex = true;
-
-  // Every IR node this attempt builds — the stage clone, the finished
-  // pipeline, register-capped re-runs — lands in this worker's arena and
-  // is released in one bump-pointer reset instead of node-by-node
-  // deletes. The guard is declared before the scope so the reset runs
-  // only after the TransformResults below are destroyed and the arena
-  // is deactivated.
-  thread_local IRArena Arena;
-  struct ResetGuard {
-    IRArena &A;
-    ~ResetGuard() { A.reset(); }
-  } Guard{Arena};
-  IRArenaScope Scope(&Arena);
-
-  // With the built-in estimator, verification happens once per stage
-  // snapshot (see TransformStageCache::buildStage) rather than once per
-  // candidate, so the pipeline's own verification pass is skipped here;
-  // injected backends keep it.
-  bool SkipVerify = DefaultEstimator;
-
-  StageRunInfo Info;
-  TransformResult R = FastPipeline->run(TO, SkipVerify, &Info);
-  traceStageCache(P, Info);
-  if (!R.ok())
-    return R.Error;
-  Expected<SynthesisEstimate> Est = invokeBackend(R.K, P, DefaultEstimator);
-  if (!Est)
-    return Est;
-
-  if (Opts.RegisterCap) {
-    unsigned ChainLimit = TO.SR.MaxChainLength;
-    while (Est->Registers > *Opts.RegisterCap && ChainLimit > 1) {
-      ChainLimit /= 2;
-      TO.SR.MaxChainLength = ChainLimit;
-      // Re-runs only vary the post-stage passes, so they clone the same
-      // memoized stage.
-      TransformResult Capped = FastPipeline->run(TO, SkipVerify);
-      if (!Capped.ok())
-        return Capped.Error;
-      Est = invokeBackend(Capped.K, P, DefaultEstimator);
-      if (!Est)
-        return Est;
-    }
-  }
-  return Est;
-}
-
-/// Field-by-field bit equality (== on doubles is exact and handles the
-/// HUGE_VAL balance of memory-free designs; NaN never occurs here).
-static bool estimatesBitEqual(const SynthesisEstimate &A,
-                              const SynthesisEstimate &B) {
-  return A.Cycles == B.Cycles && A.Slices == B.Slices &&
-         A.Registers == B.Registers && A.Units == B.Units &&
-         A.FetchRate == B.FetchRate && A.ConsumeRate == B.ConsumeRate &&
-         A.Balance == B.Balance && A.MemOnlyCycles == B.MemOnlyCycles &&
-         A.CompOnlyCycles == B.CompOnlyCycles &&
-         A.BitsTransferred == B.BitsTransferred && A.FsmStates == B.FsmStates;
 }
 
 static std::atomic<uint64_t> InFlightEvals{0};
@@ -377,16 +289,16 @@ uint64_t EvaluationService::inFlightEvaluations() {
 Expected<SynthesisEstimate>
 EvaluationService::computeRaw(const DesignPoint &P) const {
   // The single instrumentation chokepoint for evaluation cost: the
-  // sequential walk, speculation workers, and verify mode all come
-  // through here. Zero-cost discipline: disabled, this is one relaxed
-  // load and a branch on top of the dispatch.
+  // sequential walk and the speculation workers both come through here.
+  // Zero-cost discipline: disabled, this is one relaxed load and a
+  // branch on top of compute().
   if (!statsEnabled())
-    return computeDispatch(P);
+    return compute(P);
 
   InFlightEvals.fetch_add(1, std::memory_order_relaxed);
   Expected<SynthesisEstimate> Est = [&] {
     DEFACTO_SCOPED_HISTOGRAM_US("eval.latency_us");
-    return computeDispatch(P);
+    return compute(P);
   }();
   InFlightEvals.fetch_sub(1, std::memory_order_relaxed);
 
@@ -407,76 +319,6 @@ EvaluationService::computeRaw(const DesignPoint &P) const {
     SlicesHist.record(static_cast<uint64_t>(std::max(Est->Slices, 0.0)));
   }
   return Est;
-}
-
-Expected<SynthesisEstimate>
-EvaluationService::computeDispatch(const DesignPoint &P) const {
-  // The stage-cache factorization (strip-mine/unroll/normalize prefix +
-  // finishPipeline) is only proven for the default pipeline shape:
-  // interchange/tile points and custom pass pipelines take the
-  // historical route unconditionally.
-  bool Stageable = P.isUnrollOnly() && Opts.BaseTransforms.Pipeline.empty() &&
-                   Opts.BaseTransforms.Interchange.empty();
-  if (Opts.FastPath == FastPathMode::Off || !FastPipeline || !Stageable)
-    return computeSlow(P);
-  if (Opts.FastPath == FastPathMode::On)
-    return computeFast(P);
-
-  // Verify: run both routes for this attempt and return the slow result,
-  // so a verify run is behaviorally the historical engine plus
-  // assertions. Watchdog cancellations are timing, not parity; skip the
-  // comparison when either route was cancelled.
-  Expected<SynthesisEstimate> Fast = computeFast(P);
-  Expected<SynthesisEstimate> Slow = computeSlow(P);
-  bool Cancelled = (!Fast && Fast.status().code() == ErrorCode::Cancelled) ||
-                   (!Slow && Slow.status().code() == ErrorCode::Cancelled);
-  bool Violation = false;
-  if (!Cancelled) {
-    if (!Fast != !Slow)
-      Violation = true; // One route succeeded, the other failed.
-    else if (Fast && Slow)
-      Violation = !estimatesBitEqual(*Fast, *Slow);
-    // Both failed: same verdict; messages may legitimately differ
-    // (pipeline verification vs. the checked estimator's re-verify).
-  }
-  if (Violation) {
-    ++NumParityViolations;
-    TraceRecorder &R = recorder();
-    if (R.enabled()) {
-      TraceEvent Ev;
-      Ev.Track = Track;
-      Ev.Category = "dse.fastpath";
-      Ev.Name = P.toString();
-      Ev.Runtime = {{"event", "parity-violation"},
-                    {"fast", Fast ? Fast->toString() : Fast.status().toString()},
-                    {"slow", Slow ? Slow->toString() : Slow.status().toString()}};
-      R.record(std::move(Ev));
-    }
-  }
-  return Slow;
-}
-
-void EvaluationService::traceStageCache(const DesignPoint &P,
-                                        const StageRunInfo &Info) const {
-  TraceRecorder &R = recorder();
-  if (!R.enabled())
-    return;
-  TraceEvent Ev;
-  Ev.Track = Track;
-  Ev.Category = "dse.stagecache";
-  Ev.Name = P.toString();
-  const char *Outcome =
-      Info.Outcome == TransformStageCache::Outcome::Hit    ? "hit"
-      : Info.Outcome == TransformStageCache::Outcome::Wait ? "wait"
-                                                           : "miss";
-  // Which worker builds a stage depends on scheduling, so the whole
-  // payload is run-variant Runtime detail — never in the decision
-  // digest.
-  Ev.Runtime = {{"staged", Info.Staged ? "1" : "0"},
-                {"outcome", Outcome},
-                {"final", Info.FinalHit ? "1" : "0"},
-                {"key", Info.Key}};
-  R.record(std::move(Ev));
 }
 
 void EvaluationService::beginBudget(unsigned MaxEvaluations) {

@@ -6,22 +6,11 @@
 
 #include "defacto/IR/Expr.h"
 
-#include "defacto/Support/Arena.h"
 #include "defacto/Support/ErrorHandling.h"
 
 using namespace defacto;
 
 Expr::~Expr() = default;
-
-void *Expr::operator new(std::size_t Size) {
-  return detail::irNodeAllocate(Size);
-}
-
-void Expr::operator delete(void *P) noexcept { detail::irNodeDeallocate(P); }
-
-void Expr::operator delete(void *P, std::size_t) noexcept {
-  detail::irNodeDeallocate(P);
-}
 
 ExprPtr Expr::clone() const {
   switch (TheKind) {

@@ -7,10 +7,14 @@
 #include "defacto/IR/IRVerifier.h"
 
 #include "defacto/IR/IRUtils.h"
+#include "defacto/Support/Stats.h"
 
 #include <set>
 
 using namespace defacto;
+
+DEFACTO_STATISTIC(NumVerifications, "ir", "verifications",
+                  "whole-kernel verifier runs");
 
 namespace {
 
@@ -128,6 +132,7 @@ private:
 } // namespace
 
 std::vector<std::string> defacto::verifyKernel(const Kernel &K) {
+  ++NumVerifications;
   return Verifier(K).run();
 }
 

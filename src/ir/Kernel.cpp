@@ -7,7 +7,6 @@
 #include "defacto/IR/Kernel.h"
 
 #include "defacto/IR/IRUtils.h"
-#include "defacto/Support/Arena.h"
 #include "defacto/Support/ErrorHandling.h"
 
 #include <cassert>
@@ -152,9 +151,4 @@ Kernel Kernel::clone() const {
     }
   });
   return New;
-}
-
-Kernel Kernel::cloneInto(IRArena &Arena) const {
-  IRArenaScope Scope(&Arena);
-  return clone();
 }

@@ -6,23 +6,12 @@
 
 #include "defacto/IR/Stmt.h"
 
-#include "defacto/Support/Arena.h"
 #include "defacto/Support/ErrorHandling.h"
 #include "defacto/Support/MathExtras.h"
 
 using namespace defacto;
 
 Stmt::~Stmt() = default;
-
-void *Stmt::operator new(std::size_t Size) {
-  return detail::irNodeAllocate(Size);
-}
-
-void Stmt::operator delete(void *P) noexcept { detail::irNodeDeallocate(P); }
-
-void Stmt::operator delete(void *P, std::size_t) noexcept {
-  detail::irNodeDeallocate(P);
-}
 
 StmtList defacto::cloneStmtList(const StmtList &Stmts) {
   StmtList Out;

@@ -8,7 +8,9 @@
 
 #include "defacto/Support/Json.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 using namespace defacto;
@@ -72,15 +74,19 @@ Expected<ServeRequest> defacto::parseServeRequest(const std::string &Line) {
   R.Platform = V.str("platform", R.Platform);
   R.Strategy = V.str("strategy", R.Strategy);
   R.Pipeline = V.str("pipeline");
-  R.Budget = static_cast<unsigned>(V.uint("budget", R.Budget));
+  Expected<uint64_t> Budget =
+      V.checkedUint("budget", std::numeric_limits<unsigned>::max(), R.Budget);
+  if (!Budget)
+    return Budget.status();
+  R.Budget = static_cast<unsigned>(*Budget);
   R.DeadlineSeconds = V.num("deadline_s", 0);
   R.WantDigest = V.boolean("digest");
   if (R.Cmd == "explore" && R.Kernel.empty() && R.Source.empty())
     return Status::error(ErrorCode::InvalidInput,
                          "explore needs \"kernel\" or \"source\"");
-  if (R.DeadlineSeconds < 0)
+  if (!std::isfinite(R.DeadlineSeconds) || R.DeadlineSeconds < 0)
     return Status::error(ErrorCode::InvalidInput,
-                         "deadline_s must be non-negative");
+                         "deadline_s must be finite and non-negative");
   return R;
 }
 
@@ -145,7 +151,6 @@ std::string ServeResponse::toJson() const {
   }
   if (RStatus == ServeStatus::Pong)
     OS << ",\"cache_designs\":" << CacheDesigns
-       << ",\"stage_entries\":" << StageCacheEntries
        << ",\"requests\":" << Requests
        << ",\"resumed_evals\":" << ResumedEvaluations;
   if (RStatus != ServeStatus::Pong && RStatus != ServeStatus::Bye)
@@ -189,7 +194,6 @@ Expected<ServeResponse> defacto::parseServeResponse(const std::string &Line) {
   R.LatencyUs = V.num("latency_us");
   R.Digest = V.str("decision_digest");
   R.CacheDesigns = V.uint("cache_designs");
-  R.StageCacheEntries = V.uint("stage_entries");
   R.Requests = V.uint("requests");
   R.ResumedEvaluations = static_cast<unsigned>(V.uint("resumed_evals"));
   return R;

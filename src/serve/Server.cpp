@@ -86,8 +86,6 @@ struct DseServer::Pending {
 
 DseServer::DseServer(ServeOptions O) : Opts(std::move(O)) {
   Cache = std::make_shared<EstimateCache>();
-  if (Opts.FastPath != FastPathMode::Off)
-    StageCache = std::make_shared<TransformStageCache>();
   if (Opts.NumThreads > 1)
     Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
   if (Opts.BreakerThreshold > 0) {
@@ -290,7 +288,6 @@ ServeResponse DseServer::handlePing(const ServeRequest &Req) const {
   R.Id = Req.Id;
   R.RStatus = ServeStatus::Pong;
   R.CacheDesigns = Cache->size();
-  R.StageCacheEntries = StageCache ? StageCache->size() : 0;
   R.Requests = Requests.load();
   R.ResumedEvaluations = ResumedEvals;
   return R;
@@ -434,8 +431,6 @@ void DseServer::runBatch(std::vector<std::shared_ptr<Pending>> Batch) {
     ExplorerOptions O;
     O.Platform = P->Platform;
     O.MaxEvaluations = std::max(1u, P->Req.Budget);
-    O.FastPath = Opts.FastPath;
-    O.StageCache = StageCache;
     O.WatchdogSeconds = Opts.WatchdogSeconds;
     O.BaseTransforms.Pipeline = P->Req.Pipeline;
     if (P->DigestTrace)
@@ -522,10 +517,6 @@ void DseServer::registerGauges(MetricsSampler &Sampler) {
                    [this] { return static_cast<double>(InFlight.load()); });
   Sampler.setGauge("cache_designs",
                    [this] { return static_cast<double>(Cache->size()); });
-  if (StageCache)
-    Sampler.setGauge("stage_entries", [this] {
-      return static_cast<double>(StageCache->size());
-    });
   Sampler.setGauge("in_flight_evals", [] {
     return static_cast<double>(EvaluationService::inFlightEvaluations());
   });

@@ -7,216 +7,11 @@
 #include "defacto/Support/Json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace defacto;
-
-namespace {
-
-/// Recursive-descent JSON syntax checker over a raw byte buffer.
-class Validator {
-public:
-  Validator(const std::string &Text) : S(Text) {}
-
-  bool run(std::string *Error) {
-    bool Ok = value() && (skipWs(), Pos == S.size());
-    if (!Ok && Error)
-      *Error = "invalid JSON at byte " + std::to_string(Pos) + ": " + Reason;
-    return Ok;
-  }
-
-private:
-  bool fail(const char *Why) {
-    if (Reason.empty())
-      Reason = Why;
-    return false;
-  }
-
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t' ||
-                              S[Pos] == '\n' || S[Pos] == '\r'))
-      ++Pos;
-  }
-
-  bool literal(const char *Lit) {
-    size_t Start = Pos;
-    for (const char *P = Lit; *P; ++P, ++Pos)
-      if (Pos >= S.size() || S[Pos] != *P) {
-        Pos = Start;
-        return fail("bad literal");
-      }
-    return true;
-  }
-
-  bool string() {
-    if (Pos >= S.size() || S[Pos] != '"')
-      return fail("expected string");
-    ++Pos;
-    while (Pos < S.size()) {
-      unsigned char C = S[Pos];
-      if (C == '"') {
-        ++Pos;
-        return true;
-      }
-      if (C == '\\') {
-        ++Pos;
-        if (Pos >= S.size())
-          return fail("truncated escape");
-        char E = S[Pos];
-        if (E == 'u') {
-          for (int I = 0; I != 4; ++I) {
-            ++Pos;
-            if (Pos >= S.size() || !std::isxdigit(
-                                       static_cast<unsigned char>(S[Pos])))
-              return fail("bad \\u escape");
-          }
-        } else if (E != '"' && E != '\\' && E != '/' && E != 'b' &&
-                   E != 'f' && E != 'n' && E != 'r' && E != 't') {
-          return fail("bad escape");
-        }
-        ++Pos;
-        continue;
-      }
-      if (C < 0x20)
-        return fail("raw control character in string");
-      ++Pos;
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    size_t Start = Pos;
-    if (Pos < S.size() && S[Pos] == '-')
-      ++Pos;
-    if (Pos >= S.size() || !std::isdigit(static_cast<unsigned char>(S[Pos])))
-      return fail("expected digit");
-    if (S[Pos] == '0')
-      ++Pos;
-    else
-      while (Pos < S.size() &&
-             std::isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
-    if (Pos < S.size() && S[Pos] == '.') {
-      ++Pos;
-      if (Pos >= S.size() ||
-          !std::isdigit(static_cast<unsigned char>(S[Pos])))
-        return fail("expected fraction digit");
-      while (Pos < S.size() &&
-             std::isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
-    }
-    if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
-      ++Pos;
-      if (Pos < S.size() && (S[Pos] == '+' || S[Pos] == '-'))
-        ++Pos;
-      if (Pos >= S.size() ||
-          !std::isdigit(static_cast<unsigned char>(S[Pos])))
-        return fail("expected exponent digit");
-      while (Pos < S.size() &&
-             std::isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
-    }
-    return Pos > Start;
-  }
-
-  bool value() {
-    if (++Depth > 256)
-      return fail("nesting too deep");
-    skipWs();
-    if (Pos >= S.size())
-      return fail("expected value");
-    bool Ok = false;
-    switch (S[Pos]) {
-    case '{':
-      Ok = object();
-      break;
-    case '[':
-      Ok = array();
-      break;
-    case '"':
-      Ok = string();
-      break;
-    case 't':
-      Ok = literal("true");
-      break;
-    case 'f':
-      Ok = literal("false");
-      break;
-    case 'n':
-      Ok = literal("null");
-      break;
-    default:
-      Ok = number();
-    }
-    --Depth;
-    return Ok;
-  }
-
-  bool object() {
-    ++Pos; // '{'
-    skipWs();
-    if (Pos < S.size() && S[Pos] == '}') {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      skipWs();
-      if (!string())
-        return false;
-      skipWs();
-      if (Pos >= S.size() || S[Pos] != ':')
-        return fail("expected ':'");
-      ++Pos;
-      if (!value())
-        return false;
-      skipWs();
-      if (Pos < S.size() && S[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (Pos < S.size() && S[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array() {
-    ++Pos; // '['
-    skipWs();
-    if (Pos < S.size() && S[Pos] == ']') {
-      ++Pos;
-      return true;
-    }
-    for (;;) {
-      if (!value())
-        return false;
-      skipWs();
-      if (Pos < S.size() && S[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (Pos < S.size() && S[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  const std::string &S;
-  size_t Pos = 0;
-  int Depth = 0;
-  std::string Reason;
-};
-
-} // namespace
-
-bool defacto::isValidJson(const std::string &Text, std::string *Error) {
-  return Validator(Text).run(Error);
-}
 
 //===----------------------------------------------------------------------===//
 // Document-tree parser
@@ -224,8 +19,8 @@ bool defacto::isValidJson(const std::string &Text, std::string *Error) {
 
 namespace {
 
-/// Recursive-descent parser building JsonValue trees. Syntax errors are
-/// reported as Status with a byte offset; structure mirrors Validator.
+/// Recursive-descent parser building JsonValue trees (RFC 8259 grammar).
+/// Syntax errors are reported as Status with a byte offset.
 class Parser {
 public:
   Parser(const std::string &Text) : S(Text) {}
@@ -326,21 +121,36 @@ private:
     return fail("unterminated string");
   }
 
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    size_t From = Pos;
+    while (Pos < S.size() && std::isdigit(static_cast<unsigned char>(S[Pos])))
+      ++Pos;
+    return Pos > From;
+  }
+
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, kept as raw text.
   Status number(std::string &Out) {
     size_t Start = Pos;
     if (Pos < S.size() && S[Pos] == '-')
       ++Pos;
-    if (Pos >= S.size() || !std::isdigit(static_cast<unsigned char>(S[Pos])))
-      return fail("expected digit");
-    while (Pos < S.size() &&
-           (std::isdigit(static_cast<unsigned char>(S[Pos])) ||
-            S[Pos] == '.' || S[Pos] == 'e' || S[Pos] == 'E' ||
-            S[Pos] == '+' || S[Pos] == '-'))
+    if (Pos < S.size() && S[Pos] == '0')
       ++Pos;
+    else if (!digits())
+      return fail("expected digit");
+    if (Pos < S.size() && S[Pos] == '.') {
+      ++Pos;
+      if (!digits())
+        return fail("expected fraction digit");
+    }
+    if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
+      ++Pos;
+      if (Pos < S.size() && (S[Pos] == '+' || S[Pos] == '-'))
+        ++Pos;
+      if (!digits())
+        return fail("expected exponent digit");
+    }
     Out = S.substr(Start, Pos - Start);
-    std::string Err;
-    if (!isValidJson(Out, &Err))
-      return fail("malformed number '" + Out + "'");
     return Status::ok();
   }
 
@@ -476,6 +286,29 @@ double JsonValue::num(const std::string &Key, double Default) const {
   return End == Begin ? Default : Parsed;
 }
 
+Expected<uint64_t> JsonValue::checkedUint(const std::string &Key,
+                                          uint64_t Max,
+                                          uint64_t Default) const {
+  const JsonValue *V = find(Key);
+  if (!V)
+    return Default;
+  auto reject = [&Key](const std::string &Why) {
+    return Status::error(ErrorCode::InvalidInput,
+                         "\"" + Key + "\" must be " + Why);
+  };
+  if (!V->isNumber() && !V->isString())
+    return reject("an integer");
+  const std::string &T = V->Text;
+  if (T.empty() ||
+      T.find_first_not_of("0123456789") != std::string::npos)
+    return reject("a non-negative integer (got '" + T + "')");
+  errno = 0;
+  unsigned long long Parsed = std::strtoull(T.c_str(), nullptr, 10);
+  if (errno == ERANGE || Parsed > Max)
+    return reject("at most " + std::to_string(Max) + " (got " + T + ")");
+  return static_cast<uint64_t>(Parsed);
+}
+
 uint64_t JsonValue::uint(const std::string &Key, uint64_t Default) const {
   const JsonValue *V = find(Key);
   if (!V || (!V->isNumber() && !V->isString()))
@@ -493,6 +326,13 @@ bool JsonValue::boolean(const std::string &Key, bool Default) const {
 
 Expected<JsonValue> defacto::parseJson(const std::string &Text) {
   return Parser(Text).run();
+}
+
+bool defacto::isValidJson(const std::string &Text, std::string *Error) {
+  Expected<JsonValue> Parsed = parseJson(Text);
+  if (!Parsed && Error)
+    *Error = Parsed.status().message();
+  return Parsed.hasValue();
 }
 
 std::string defacto::jsonQuote(const std::string &S) {

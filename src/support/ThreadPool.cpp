@@ -64,11 +64,13 @@ void ThreadPool::workerLoop() {
     std::function<void()> Task = std::move(Queue.front());
     Queue.pop_front();
     ++Active;
+    // Counted before it runs: the task's future becomes ready inside
+    // Task(), and a caller that saw it ready must see it counted.
+    ++Executed;
     Lock.unlock();
     Task();
     Lock.lock();
     --Active;
-    ++Executed;
     if (Queue.empty() && Active == 0)
       AllIdle.notify_all();
   }

@@ -436,6 +436,50 @@ TEST(JournalProperty, UnknownVersionAndShapeLinesAreSkippedNotFatal) {
   std::remove(Path.c_str());
 }
 
+TEST(JournalProperty, OutOfRangeCountsAreSkippedNotWrapped) {
+  std::string Path = tempPath("journal_prop_range.jsonl");
+  std::remove(Path.c_str());
+  Fuzzer Fz(0x5eedull);
+  std::vector<std::pair<std::string, EstimateCache::Result>> Written;
+  {
+    EvaluationJournal J(Path);
+    Written = populate(J, Fz, 3, 0);
+  }
+  std::vector<std::string> Lines;
+  {
+    std::ifstream In(Path);
+    for (std::string Line; std::getline(In, Line);)
+      Lines.push_back(Line);
+  }
+  ASSERT_EQ(Lines.size(), 4u); // Header plus three evaluations.
+  // Copies of the first evaluation whose attempt count does not fit an
+  // unsigned (or is negative, or fractional): each must be skipped as
+  // corrupt, never wrapped into a small count.
+  const std::string Field = "\"attempts\":\"";
+  size_t Begin = Lines[1].find(Field);
+  ASSERT_NE(Begin, std::string::npos) << Lines[1];
+  Begin += Field.size();
+  size_t End = Lines[1].find('"', Begin);
+  for (const char *Bad : {"4294967296", "-1", "2.5"}) {
+    std::string Line = Lines[1];
+    Line.replace(Begin, End - Begin, Bad);
+    Lines.push_back(Line);
+  }
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    for (const std::string &L : Lines)
+      Out << L << '\n';
+  }
+  Expected<EvaluationJournal::Contents> Loaded = EvaluationJournal::load(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.status().message();
+  EXPECT_EQ(Loaded.value().SkippedLines, 3u);
+  ASSERT_EQ(Loaded.value().Evaluations.size(), Written.size());
+  for (size_t I = 0; I != Written.size(); ++I)
+    expectResultsBitIdentical(Loaded.value().Evaluations[I].second,
+                              Written[I].second, Written[I].first);
+  std::remove(Path.c_str());
+}
+
 TEST(JournalProperty, VersionOneJournalsLoadWithoutSkips) {
   // Unroll-only keys are byte-identical across v1 and v2; a v1 header
   // must load clean so pre-upgrade journals keep resuming.

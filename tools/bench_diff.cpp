@@ -8,9 +8,9 @@
 /// sweep: the baseline (usually the committed file) against a fresh run.
 /// Sweeps are matched on (mode, threads); the table shows evaluations
 /// per second and best wall time side by side with the percentage
-/// change. Fast-path speedups and the latency percentile section are
-/// compared when both reports carry them — either side may predate a
-/// schema addition, so missing sections are skipped, not errors.
+/// change. The latency percentile section is compared when both reports
+/// carry it — either side may predate a schema addition, so a missing
+/// section is skipped, not an error.
 ///
 ///   bench_diff BASELINE.json CURRENT.json [--threshold-pct=N]
 ///              [--fail-on-regression]
@@ -134,21 +134,6 @@ int main(int argc, char **argv) {
   std::printf("%s\n", Sweeps.toString(2).c_str());
 
   //===------------------------------------------------------------===//
-  // Fast-path speedups (informational; single-thread ratios).
-  //===------------------------------------------------------------===//
-  const JsonValue *BaseFp = Base.find("fastpath");
-  const JsonValue *CurFp = Cur.find("fastpath");
-  if (BaseFp && CurFp) {
-    Table Fp({"speedup vs off", "baseline", "current"});
-    Fp.addRow({"on-cold", formatDouble(BaseFp->num("speedup_cold"), 2) + "x",
-               formatDouble(CurFp->num("speedup_cold"), 2) + "x"});
-    Fp.addRow({"on (steady)",
-               formatDouble(BaseFp->num("speedup_steady"), 2) + "x",
-               formatDouble(CurFp->num("speedup_steady"), 2) + "x"});
-    std::printf("%s\n", Fp.toString(2).c_str());
-  }
-
-  //===------------------------------------------------------------===//
   // Evaluation latency percentiles, when both reports carry the
   // section (added after the first committed baselines).
   //===------------------------------------------------------------===//
@@ -157,14 +142,16 @@ int main(int argc, char **argv) {
   if (BaseLat && CurLat) {
     Table Lat({"mode", "p50_us (base/cur)", "p95_us (base/cur)",
                "p99_us (base/cur)"});
-    for (const char *Mode : {"off", "on"}) {
+    // One row per sweep mode both reports recorded percentiles for.
+    for (const auto &Member : CurLat->Members) {
+      const std::string &Mode = Member.first;
+      const JsonValue &C = Member.second;
       const JsonValue *B = BaseLat->find(Mode);
-      const JsonValue *C = CurLat->find(Mode);
-      if (!B || !C)
+      if (!B || !B->isObject() || !C.isObject())
         continue;
       auto Cell = [&](const char *Key) {
         return formatDouble(B->num(Key), 0) + " / " +
-               formatDouble(C->num(Key), 0);
+               formatDouble(C.num(Key), 0);
       };
       Lat.addRow({Mode, Cell("p50_us"), Cell("p95_us"), Cell("p99_us")});
     }
