@@ -6,13 +6,19 @@
 ///
 /// \file
 /// Explores many (kernel, platform) jobs concurrently on one worker pool
-/// with one shared EstimateCache. Each job runs the ordinary sequential
-/// engine inside a pool worker — job-level parallelism composes with the
-/// per-job speculative engine only through the shared cache, never
-/// through nested pool submission (which could deadlock a bounded pool).
-/// Results come back in submission order and each job's outcome is
-/// identical to running it alone; jobs over the same kernel and platform
-/// additionally hit each other's cached estimates.
+/// with one shared EstimateCache. Each job runs inside a pool worker.
+/// Jobs whose search consumes every candidate it prefetches — the
+/// candidate-list searches "exhaustive" and "random" — are lent the
+/// batch pool: they fan their candidates out onto it and help-wait
+/// (ThreadPool::helpWait) instead of blocking, so one large job no
+/// longer sets the batch's wall time and a bounded pool cannot deadlock.
+/// Every other search runs sequentially inside its worker, composing
+/// with the other jobs only through the shared cache, as does any job
+/// that brings its own Estimator (parallel work needs a thread-safe,
+/// deterministic backend). Results come back in submission order and
+/// each job's outcome is identical to running it alone; jobs over the
+/// same kernel and platform additionally hit each other's cached
+/// estimates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,19 +42,13 @@ struct BatchJob {
   std::string Name; // label for reports; defaults to the kernel's name
   Kernel K;
   ExplorerOptions Opts;
-  /// Legacy two-mode selector, honored when Strategy is empty.
-  enum class Mode { Guided, Exhaustive } SearchMode = Mode::Guided;
-  /// StrategyRegistry name ("guided", "portfolio", ...); wins over
-  /// SearchMode when non-empty. Unknown names degrade to guided with a
-  /// note in the result's trace — a batch never aborts over one job.
+  /// StrategyRegistry name ("guided", "exhaustive", "portfolio", ...).
+  /// Unknown names degrade to guided with a note in the result's trace —
+  /// a batch never aborts over one job.
   std::string Strategy;
 
   BatchJob(std::string Name, Kernel K, ExplorerOptions Opts,
-           Mode SearchMode = Mode::Guided)
-      : Name(std::move(Name)), K(std::move(K)), Opts(std::move(Opts)),
-        SearchMode(SearchMode) {}
-  BatchJob(std::string Name, Kernel K, ExplorerOptions Opts,
-           std::string Strategy)
+           std::string Strategy = "guided")
       : Name(std::move(Name)), K(std::move(K)), Opts(std::move(Opts)),
         Strategy(std::move(Strategy)) {}
 };
@@ -94,12 +94,11 @@ class BatchExplorer {
 public:
   explicit BatchExplorer(BatchOptions Opts = {});
 
-  /// Queues one job. Convenience overloads label it with the kernel name
-  /// and select the search by legacy mode or by registry strategy name.
+  /// Queues one job. The convenience overload labels it with the kernel
+  /// name and selects the search by registry strategy name.
   void addJob(BatchJob Job);
   void addJob(const Kernel &K, ExplorerOptions Opts,
-              BatchJob::Mode Mode = BatchJob::Mode::Guided);
-  void addJob(const Kernel &K, ExplorerOptions Opts, std::string Strategy);
+              std::string Strategy = "guided");
 
   unsigned numJobs() const { return Jobs.size(); }
 

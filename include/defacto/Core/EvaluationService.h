@@ -129,16 +129,19 @@ struct ExplorerOptions {
   // bit-identical to the historical engine.
   //===--------------------------------------------------------------===//
 
-  /// Worker threads for the speculative frontier evaluation and the
-  /// exhaustive/random fan-out. <= 1 means sequential. Parallel mode
-  /// requires a thread-safe Estimator (the default backend is; a
-  /// FaultInjector-wrapped one is not) and assumes it is deterministic —
-  /// that is what makes the parallel walk's selection bit-identical to
-  /// the sequential one's.
+  /// Parallelism one exploration may use. Above 1 it permits
+  /// speculation: the guided walks evaluate their frontier ahead of the
+  /// walk, designs it may never consume included; with no Pool, this
+  /// many workers form a private pool. <= 1 keeps the guided-family
+  /// walks sequential. Any parallel work requires a thread-safe
+  /// Estimator (the default backend is; a FaultInjector-wrapped one is
+  /// not) and assumes it is deterministic — that is what makes a
+  /// parallel selection bit-identical to the sequential one's.
   unsigned NumThreads = 1;
-  /// Worker pool to draw from; with NumThreads > 1 and no pool the
-  /// explorer creates a private one. Sharing one pool across explorers
-  /// (BatchExplorer does) bounds total worker threads.
+  /// Where parallel work runs. The exhaustive and random searches, which
+  /// consume every candidate they prefetch, fan out onto it even with
+  /// NumThreads <= 1; that is how BatchExplorer lends its pool to them.
+  /// Sharing one pool across explorers bounds total worker threads.
   std::shared_ptr<ThreadPool> Pool;
   /// Estimate cache shared across explorers, runs, and threads. Unset:
   /// the explorer creates a private cache, i.e. per-instance memoization
@@ -180,6 +183,8 @@ struct EvaluationFailure {
 /// at a time (strategies call it from their driving thread); prefetch()
 /// is the only entry point that fans work onto other threads, and the
 /// underlying EstimateCache serializes those against the consuming walk.
+/// awaitPrefetched() and drainSpeculation() may run other queued pool
+/// tasks, of this service or any other, on the driving thread.
 class EvaluationService {
 public:
   /// Normalizes \p Opts (default estimator/clock/sleep, private cache
@@ -222,7 +227,16 @@ public:
   /// prefetch() over design points.
   void prefetchPoints(const std::vector<DesignPoint> &Candidates);
 
-  /// Blocks until every outstanding speculative evaluation finished.
+  /// Waits until the speculative evaluation of \p U that prefetch()
+  /// submitted has finished, running other queued pool tasks on this
+  /// thread meanwhile (ThreadPool::helpWait); no-op when none was
+  /// submitted. A strategy that consumes every point it prefetched calls
+  /// it before consuming each one, so neither this thread nor a worker
+  /// blocks on the other's in-flight cache entry.
+  void awaitPrefetched(const UnrollVector &U);
+
+  /// Waits until every outstanding speculative evaluation finished,
+  /// running queued pool tasks on this thread meanwhile.
   void drainSpeculation();
 
   /// Arms the evaluation budget: evaluateChecked fails with
@@ -322,8 +336,10 @@ public:
   /// kernel's name).
   const std::string &trackLabel() const { return Track; }
 
-  /// True when a worker pool is configured (speculation is live).
-  bool parallel() const { return Opts.Pool != nullptr || Opts.NumThreads > 1; }
+  /// True when the options permit speculation a walk may never consume
+  /// (NumThreads > 1). A pool alone (ExplorerOptions::Pool) only says
+  /// where prefetch() runs work.
+  bool parallel() const { return Opts.NumThreads > 1; }
 
   /// Raw estimation attempts currently executing, process-wide (every
   /// service, sequential walks and speculation workers alike). Tracked
@@ -370,6 +386,9 @@ private:
   std::shared_ptr<EstimateCache> Estimates; // never null
   std::shared_ptr<ThreadPool> Pool;         // created lazily when parallel
   std::vector<std::future<void>> Speculation;
+  /// Index into Speculation of each point's speculative task; a point is
+  /// queued at most once between drains.
+  std::map<DesignPoint, size_t> SpeculationSlot;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes
   std::map<DesignPoint, Status> FailCache; // this run's permanent failures
   /// Bounded failure ring: oldest entry at FailLogStart once the ring

@@ -32,16 +32,21 @@
 /// Exhaustive and random search baselines are provided for the coverage
 /// and quality comparisons of §6.3.
 ///
-/// Concurrency: with NumThreads > 1 (or an explicit Pool) the engine
-/// speculatively evaluates the walk's whole candidate frontier — the
-/// Increase doubling chain and the SelectBetween bisection midpoints,
-/// both enumerable upfront in Psat multiples — on a worker pool, while
-/// the walk itself runs unchanged and consumes memoized results in its
-/// original deterministic order. The exhaustive and random baselines fan
-/// every candidate out across the pool the same way. For a deterministic
-/// estimation backend the selected design is bit-identical to the
-/// sequential walk's; estimator attempts are charged to the evaluation
-/// budget when the walk consumes a result, not when a worker computes it.
+/// Concurrency: ExplorerOptions::Pool is where parallel work runs, and
+/// NumThreads > 1 is what permits a walk to speculate. With NumThreads >
+/// 1 the engine speculatively evaluates the guided walk's whole
+/// candidate frontier — the Increase doubling chain and the
+/// SelectBetween bisection midpoints, both enumerable upfront in Psat
+/// multiples — on the pool (a private one when none is given), while the
+/// walk itself runs unchanged and consumes memoized results in its
+/// original deterministic order. The exhaustive and random baselines
+/// consume every candidate they prefetch, so any pool is enough for
+/// them to fan out; they help-wait on each candidate's task
+/// (ThreadPool::helpWait) and consume in candidate order. For a
+/// deterministic estimation backend the selected design is bit-identical
+/// to the sequential walk's; estimator attempts are charged to the
+/// evaluation budget when the walk consumes a result, not when a worker
+/// computes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,7 +99,8 @@ public:
     Svc.prefetch(Candidates);
   }
 
-  /// Blocks until every outstanding speculative evaluation finished.
+  /// Waits until every outstanding speculative evaluation finished,
+  /// running queued pool tasks on this thread meanwhile.
   void drainSpeculation() { Svc.drainSpeculation(); }
 
   /// The frontier run() would speculate: base, Uinit, the Increase
@@ -145,9 +151,9 @@ private:
 
 /// Exhaustive baseline: evaluates every divisor vector and picks the
 /// fastest fitting design, breaking ties by smaller area. Visited lists
-/// every candidate. With Opts.NumThreads > 1 the candidates are estimated
-/// concurrently; the reduction stays in candidate order, so the result is
-/// identical to the sequential one.
+/// every candidate. With Opts.Pool set or Opts.NumThreads > 1 the
+/// candidates are estimated concurrently; the reduction stays in
+/// candidate order, so the result is identical to the sequential one.
 ExplorationResult exploreExhaustive(const Kernel &Source,
                                     const ExplorerOptions &Opts);
 

@@ -78,6 +78,10 @@ struct JsonValue {
   Expected<uint64_t> checkedUint(const std::string &Key, uint64_t Max,
                                  uint64_t Default = 0) const;
 
+  /// This value as an exact integer in [0, \p Max], under the rules of
+  /// the member form (for array elements, which have no key).
+  Expected<uint64_t> checkedUint(uint64_t Max) const;
+
   /// Member \p Key as a bool; \p Default when absent or not a bool.
   bool boolean(const std::string &Key, bool Default = false) const;
 };

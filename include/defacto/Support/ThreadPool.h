@@ -13,9 +13,11 @@
 ///
 /// The pool is deliberately small and boring: one shared queue, a
 /// condition variable, and clean shutdown (the destructor drains the
-/// queue and joins every worker). Waiting on a future inside a worker is
-/// safe only when the awaited task is already running on another worker
-/// or queued ahead; the exploration engine never queues dependent tasks.
+/// queue and joins every worker). A task may wait on another task of the
+/// same pool through helpWait(), which runs queued tasks on the waiting
+/// thread instead of blocking; a plain future wait inside a worker can
+/// deadlock a bounded pool (every worker waiting on tasks no worker is
+/// free to run).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,11 +68,22 @@ public:
     return Fut;
   }
 
-  /// Blocks until the queue is empty and every worker is idle.
+  /// Waits for \p F, a future of a task submitted to this pool, without
+  /// tying up the calling thread: while \p F is not ready, pops queued
+  /// tasks (newest first; workers take the oldest) and runs them here.
+  /// Blocks only once the queue is empty, when the awaited task has
+  /// already been taken by another thread. Safe from inside a worker and
+  /// nestable, provided no task waits on a task that is running further
+  /// down its own thread's stack (a task never waits on its caller).
+  void helpWait(std::future<void> &F);
+
+  /// Blocks until the queue is empty and no task is running, on a worker
+  /// or on a helpWait() caller.
   void wait();
 
-  /// Tasks a worker has started since construction (finished or still
-  /// running); every task whose future is ready is counted.
+  /// Tasks started since construction, by a worker or a helpWait()
+  /// caller (finished or still running); every task whose future is
+  /// ready is counted.
   uint64_t tasksRun() const;
 
   /// Tasks queued or currently executing — the live backlog a metrics
@@ -79,6 +92,9 @@ public:
 
 private:
   void workerLoop();
+  /// Runs \p Task, just popped under \p Lock, with the lock released;
+  /// returns with \p Lock held again.
+  void run(std::unique_lock<std::mutex> &Lock, std::function<void()> Task);
 
   mutable std::mutex M;
   std::condition_variable WorkReady;

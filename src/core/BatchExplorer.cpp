@@ -18,11 +18,6 @@ BatchExplorer::BatchExplorer(BatchOptions Opts) : Opts(std::move(Opts)) {
 void BatchExplorer::addJob(BatchJob Job) { Jobs.push_back(std::move(Job)); }
 
 void BatchExplorer::addJob(const Kernel &K, ExplorerOptions JobOpts,
-                           BatchJob::Mode Mode) {
-  Jobs.emplace_back(K.name(), K.clone(), std::move(JobOpts), Mode);
-}
-
-void BatchExplorer::addJob(const Kernel &K, ExplorerOptions JobOpts,
                            std::string Strategy) {
   Jobs.emplace_back(K.name(), K.clone(), std::move(JobOpts),
                     std::move(Strategy));
@@ -30,18 +25,30 @@ void BatchExplorer::addJob(const Kernel &K, ExplorerOptions JobOpts,
 
 namespace {
 
+/// True for the searches that consume every point they prefetch: only
+/// they may fan out onto a lent pool without computing designs nobody
+/// consumes.
+bool consumesEveryPrefetch(const std::string &Strategy) {
+  return Strategy == "exhaustive" || Strategy == "random";
+}
+
 ExplorationResult runJob(const BatchJob &Job,
+                         const std::shared_ptr<ThreadPool> &Pool,
                          const std::shared_ptr<EstimateCache> &Cache,
                          const std::shared_ptr<TraceRecorder> &Trace,
                          const std::shared_ptr<CircuitBreakerRegistry>
                              &Breakers) {
-  // Each job runs sequentially inside its worker: its parallelism budget
-  // is the batch's, and nested speculation into the batch pool could
-  // deadlock it (every worker waiting on tasks no worker is free to
-  // run). The shared cache still lets concurrent jobs feed each other.
+  // A job's parallelism budget is the batch's: NumThreads stays 1, so no
+  // walk speculates. Candidate-list jobs are lent the batch pool (null
+  // for a sequential batch) and fan their candidates out onto it; they
+  // help-wait on their tasks, so nesting cannot deadlock the pool. A job
+  // with its own Estimator stays sequential: parallel work needs a
+  // thread-safe, deterministic backend. The shared cache lets concurrent
+  // jobs feed each other either way.
   ExplorerOptions Opts = Job.Opts;
   Opts.NumThreads = 1;
-  Opts.Pool = nullptr;
+  Opts.Pool =
+      consumesEveryPrefetch(Job.Strategy) && !Opts.Estimator ? Pool : nullptr;
   Opts.Cache = Cache;
   if (!Opts.Trace)
     Opts.Trace = Trace;
@@ -49,20 +56,14 @@ ExplorationResult runJob(const BatchJob &Job,
     Opts.Breakers = Breakers;
   if (Opts.TraceLabel.empty())
     Opts.TraceLabel = Job.Name.empty() ? Job.K.name() : Job.Name;
-  if (!Job.Strategy.empty()) {
-    if (Expected<ExplorationResult> Res =
-            exploreWithStrategy(Job.K, Opts, Job.Strategy))
-      return *Res;
-    // Unknown strategy: degrade to guided rather than abort the batch.
-    ExplorationResult Fallback = DesignSpaceExplorer(Job.K, Opts).run();
-    Fallback.Trace = "unknown strategy '" + Job.Strategy +
-                     "'; fell back to guided\n" + Fallback.Trace;
-    return Fallback;
-  }
-  if (Job.SearchMode == BatchJob::Mode::Exhaustive)
-    return exploreExhaustive(Job.K, Opts);
-  DesignSpaceExplorer Ex(Job.K, std::move(Opts));
-  return Ex.run();
+  if (Expected<ExplorationResult> Res =
+          exploreWithStrategy(Job.K, Opts, Job.Strategy))
+    return *Res;
+  // Unknown strategy: degrade to guided rather than abort the batch.
+  ExplorationResult Fallback = DesignSpaceExplorer(Job.K, Opts).run();
+  Fallback.Trace = "unknown strategy '" + Job.Strategy +
+                   "'; fell back to guided\n" + Fallback.Trace;
+  return Fallback;
 }
 
 /// Journals \p Result's winner summary; when the journal already held a
@@ -121,7 +122,7 @@ std::vector<BatchResult> BatchExplorer::runAll() {
   if (!Parallel) {
     for (size_t I = 0; I != Pending.size(); ++I) {
       Results[I].Result =
-          runJob(Pending[I], Cache, Opts.Trace, Opts.Breakers);
+          runJob(Pending[I], nullptr, Cache, Opts.Trace, Opts.Breakers);
       if (Opts.Journal)
         journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
       JobsDone.fetch_add(1, std::memory_order_relaxed);
@@ -136,9 +137,9 @@ std::vector<BatchResult> BatchExplorer::runAll() {
   std::vector<std::future<void>> Done;
   Done.reserve(Pending.size());
   for (size_t I = 0; I != Pending.size(); ++I)
-    Done.push_back(Pool->submit([this, &Pending, &Results, I] {
+    Done.push_back(Pool->submit([this, &Pool, &Pending, &Results, I] {
       Results[I].Result =
-          runJob(Pending[I], Cache, Opts.Trace, Opts.Breakers);
+          runJob(Pending[I], Pool, Cache, Opts.Trace, Opts.Breakers);
       if (Opts.Journal)
         journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
       JobsDone.fetch_add(1, std::memory_order_relaxed);

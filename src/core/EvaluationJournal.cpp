@@ -10,7 +10,6 @@
 #include "defacto/Support/Stats.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -98,23 +97,36 @@ std::string jobLine(const JournalJobRecord &J) {
   return OS.str();
 }
 
+constexpr uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
+
 /// Member \p Key as an unsigned count, or nullopt when it is out of
 /// range (the record is corrupt; it is skipped, never wrapped).
 std::optional<unsigned> checkedUnsigned(const JsonValue &V, const char *Key,
                                         unsigned Default) {
-  Expected<uint64_t> N =
-      V.checkedUint(Key, std::numeric_limits<unsigned>::max(), Default);
+  Expected<uint64_t> N = V.checkedUint(Key, MaxUnsigned, Default);
   if (!N)
     return std::nullopt;
   return static_cast<unsigned>(*N);
 }
 
+/// Member \p Key as a uint64_t, or nullopt when it is not an exact
+/// non-negative integer that fits.
+std::optional<uint64_t> checkedU64(const JsonValue &V, const char *Key) {
+  Expected<uint64_t> N =
+      V.checkedUint(Key, std::numeric_limits<uint64_t>::max());
+  if (!N)
+    return std::nullopt;
+  return *N;
+}
+
 bool parseEstimate(const JsonValue &V, SynthesisEstimate &E) {
-  E.Cycles = V.uint("cycles");
-  E.Slices = V.num("slices");
+  std::optional<uint64_t> Cycles = checkedU64(V, "cycles");
   std::optional<unsigned> Registers = checkedUnsigned(V, "registers", 0);
-  if (!Registers)
+  std::optional<uint64_t> Fsm = checkedU64(V, "fsm");
+  if (!Cycles || !Registers || !Fsm)
     return false;
+  E.Cycles = *Cycles;
+  E.Slices = V.num("slices");
   E.Registers = *Registers;
   if (const JsonValue *Units = V.find("units")) {
     if (!Units->isArray())
@@ -122,12 +134,16 @@ bool parseEstimate(const JsonValue &V, SynthesisEstimate &E) {
     for (const JsonValue &Triple : Units->Elements) {
       if (!Triple.isArray() || Triple.Elements.size() != 3)
         return false;
-      OpShape Shape{static_cast<OpClass>(std::strtol(
-                        Triple.Elements[0].Text.c_str(), nullptr, 10)),
-                    static_cast<unsigned>(std::strtoul(
-                        Triple.Elements[1].Text.c_str(), nullptr, 10))};
-      E.Units[Shape] = static_cast<unsigned>(
-          std::strtoul(Triple.Elements[2].Text.c_str(), nullptr, 10));
+      // [op class, width, count]: an unknown class or a value that does
+      // not fit marks the record corrupt.
+      Expected<uint64_t> Class = Triple.Elements[0].checkedUint(
+          static_cast<uint64_t>(OpClass::Wire));
+      Expected<uint64_t> Width = Triple.Elements[1].checkedUint(MaxUnsigned);
+      Expected<uint64_t> Count = Triple.Elements[2].checkedUint(MaxUnsigned);
+      if (!Class || !Width || !Count)
+        return false;
+      E.Units[{static_cast<OpClass>(*Class), static_cast<unsigned>(*Width)}] =
+          static_cast<unsigned>(*Count);
     }
   }
   E.FetchRate = V.num("fetch");
@@ -136,7 +152,7 @@ bool parseEstimate(const JsonValue &V, SynthesisEstimate &E) {
   E.MemOnlyCycles = V.num("mem_cycles");
   E.CompOnlyCycles = V.num("comp_cycles");
   E.BitsTransferred = V.num("bits");
-  E.FsmStates = V.uint("fsm");
+  E.FsmStates = *Fsm;
   return true;
 }
 
@@ -187,11 +203,12 @@ bool parseLine(const std::string &Line, EvaluationJournal::Contents &C) {
       return false;
     J.Strategy = V.str("strategy");
     J.Selected = V.str("selected");
-    J.Cycles = V.uint("cycles");
-    J.Slices = V.num("slices");
+    std::optional<uint64_t> Cycles = checkedU64(V, "cycles");
     std::optional<unsigned> Evaluations = checkedUnsigned(V, "evals", 0);
-    if (!Evaluations)
+    if (!Cycles || !Evaluations)
       return false;
+    J.Cycles = *Cycles;
+    J.Slices = V.num("slices");
     J.Evaluations = *Evaluations;
     J.Degraded = V.boolean("degraded");
     J.Fits = V.boolean("fits", true);

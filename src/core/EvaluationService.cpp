@@ -572,6 +572,10 @@ void EvaluationService::prefetchPoints(
     if (P.isUnrollOnly() ? !Space.isCandidate(P.Unroll)
                          : !DSpace.isCandidate(P))
       continue;
+    // A point queued once already (the exhaustive list repeats the base
+    // vector) needs no second task: it would only wait on the first.
+    if (!SpeculationSlot.emplace(P, Speculation.size()).second)
+      continue;
     ++NumSpeculated;
     Speculation.push_back(Workers->submit([this, P] {
       auto Found = Estimates->lookupOrBegin(cacheKey(P));
@@ -599,9 +603,20 @@ void EvaluationService::prefetchPoints(
   }
 }
 
+void EvaluationService::awaitPrefetched(const UnrollVector &U) {
+  auto It = SpeculationSlot.find(DesignPoint(U));
+  if (It != SpeculationSlot.end())
+    workerPool()->helpWait(Speculation[It->second]);
+}
+
 void EvaluationService::drainSpeculation() {
-  for (std::future<void> &F : Speculation)
-    if (F.valid())
-      F.wait();
+  if (!Speculation.empty()) {
+    // Help rather than block: this thread may be a worker of the same
+    // pool, and the tasks it waits on may still be queued behind it.
+    std::shared_ptr<ThreadPool> Workers = workerPool();
+    for (std::future<void> &F : Speculation)
+      Workers->helpWait(F);
+  }
   Speculation.clear();
+  SpeculationSlot.clear();
 }

@@ -243,7 +243,8 @@ ExplorationResult GuidedStrategy::search(const SearchContext &SC) {
                          [](const UnrollVector &A, const UnrollVector &B2) {
                            return unrollProduct(A) > unrollProduct(B2);
                          });
-        Eval.prefetch(Candidates);
+        if (Eval.parallel())
+          Eval.prefetch(Candidates);
         Ucurr = Space.base();
         for (const UnrollVector &C : Candidates) {
           Expected<SynthesisEstimate> Fit = record(C, "fit");

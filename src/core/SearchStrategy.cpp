@@ -110,7 +110,10 @@ namespace {
 /// Evaluates \p Candidates through the service (worker pool fan-out when
 /// configured, reduction in candidate order so the result matches the
 /// sequential run) and selects the fastest fitting design; among designs
-/// within 5% of its cycles, the smallest.
+/// within 5% of its cycles, the smallest. Every prefetched point is
+/// consumed, so the fan-out never computes a design the reducer skips;
+/// before each one the reducer help-waits on its task, running queued
+/// pool work meanwhile, and only then checks the limits and consumes.
 ExplorationResult pickBest(const SearchContext &SC,
                            const std::vector<UnrollVector> &Candidates,
                            const char *Role) {
@@ -124,12 +127,14 @@ ExplorationResult pickBest(const SearchContext &SC,
   Prefetch.insert(Prefetch.end(), Candidates.begin(), Candidates.end());
   Ex.prefetch(Prefetch);
 
+  Ex.awaitPrefetched(Ex.space().base());
   if (auto Base = Ex.evaluate(Ex.space().base())) {
     Res.BaselineEstimate = *Base;
     Ex.traceDecision(Ex.space().base(), *Base, "baseline", "baseline");
   }
 
   for (const UnrollVector &U : Candidates) {
+    Ex.awaitPrefetched(U);
     auto Est = Ex.evaluate(U);
     if (!Est)
       continue;

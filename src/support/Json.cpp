@@ -292,20 +292,26 @@ Expected<uint64_t> JsonValue::checkedUint(const std::string &Key,
   const JsonValue *V = find(Key);
   if (!V)
     return Default;
-  auto reject = [&Key](const std::string &Why) {
+  Expected<uint64_t> N = V->checkedUint(Max);
+  if (!N)
     return Status::error(ErrorCode::InvalidInput,
-                         "\"" + Key + "\" must be " + Why);
+                         "\"" + Key + "\" " + N.status().message());
+  return N;
+}
+
+Expected<uint64_t> JsonValue::checkedUint(uint64_t Max) const {
+  auto reject = [](const std::string &Why) {
+    return Status::error(ErrorCode::InvalidInput, "must be " + Why);
   };
-  if (!V->isNumber() && !V->isString())
+  if (!isNumber() && !isString())
     return reject("an integer");
-  const std::string &T = V->Text;
-  if (T.empty() ||
-      T.find_first_not_of("0123456789") != std::string::npos)
-    return reject("a non-negative integer (got '" + T + "')");
+  if (Text.empty() ||
+      Text.find_first_not_of("0123456789") != std::string::npos)
+    return reject("a non-negative integer (got '" + Text + "')");
   errno = 0;
-  unsigned long long Parsed = std::strtoull(T.c_str(), nullptr, 10);
+  unsigned long long Parsed = std::strtoull(Text.c_str(), nullptr, 10);
   if (errno == ERANGE || Parsed > Max)
-    return reject("at most " + std::to_string(Max) + " (got " + T + ")");
+    return reject("at most " + std::to_string(Max) + " (got " + Text + ")");
   return static_cast<uint64_t>(Parsed);
 }
 

@@ -7,6 +7,7 @@
 #include "defacto/Support/ThreadPool.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace defacto;
 
@@ -40,6 +41,25 @@ std::future<void> ThreadPool::submit(std::function<void()> Task) {
   return Fut;
 }
 
+void ThreadPool::helpWait(std::future<void> &F) {
+  std::unique_lock<std::mutex> Lock(M);
+  while (F.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    if (Queue.empty()) {
+      // Every task of this pool has been taken, the awaited one included,
+      // so it is running on another thread: plain blocking is safe.
+      Lock.unlock();
+      F.wait();
+      return;
+    }
+    // Newest first: those are most likely the tasks this waiter just
+    // queued, so a waiting job works through its own candidates rather
+    // than starting another job inside its wait.
+    std::function<void()> Task = std::move(Queue.back());
+    Queue.pop_back();
+    run(Lock, std::move(Task));
+  }
+}
+
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(M);
   AllIdle.wait(Lock, [this] { return Queue.empty() && Active == 0; });
@@ -63,15 +83,20 @@ void ThreadPool::workerLoop() {
       return;
     std::function<void()> Task = std::move(Queue.front());
     Queue.pop_front();
-    ++Active;
-    // Counted before it runs: the task's future becomes ready inside
-    // Task(), and a caller that saw it ready must see it counted.
-    ++Executed;
-    Lock.unlock();
-    Task();
-    Lock.lock();
-    --Active;
-    if (Queue.empty() && Active == 0)
-      AllIdle.notify_all();
+    run(Lock, std::move(Task));
   }
+}
+
+void ThreadPool::run(std::unique_lock<std::mutex> &Lock,
+                     std::function<void()> Task) {
+  ++Active;
+  // Counted before it runs: the task's future becomes ready inside
+  // Task(), and a caller that saw it ready must see it counted.
+  ++Executed;
+  Lock.unlock();
+  Task();
+  Lock.lock();
+  --Active;
+  if (Queue.empty() && Active == 0)
+    AllIdle.notify_all();
 }

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The concurrent-evaluation substrate under contention: the worker pool
-/// (submission, futures, drain-on-shutdown) and the shared estimate
+/// (submission, futures, drain-on-shutdown, the helping wait) and the
+/// shared estimate
 /// cache (exactly-once computation, in-flight waiter dedup, negative
 /// entries, the abandon path). Every test is also a ThreadSanitizer
 /// target through the tsan CMake preset.
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -77,6 +80,123 @@ TEST(ThreadPool, DestructionDrainsTheQueue) {
     // Destructor must run every queued task before joining.
   }
   EXPECT_EQ(Count.load(), 32);
+}
+
+namespace {
+
+/// Occupies one worker of a pool until released, so a test controls
+/// exactly which tasks stay queued.
+class ParkedWorker {
+public:
+  explicit ParkedWorker(ThreadPool &Pool)
+      : Latch(Release.get_future().share()) {
+    Done = Pool.submit([this] {
+      Parked.store(true);
+      Latch.wait();
+    });
+    while (!Parked.load())
+      std::this_thread::yield();
+  }
+  ~ParkedWorker() { release(); }
+
+  void release() {
+    if (Done.valid()) {
+      Release.set_value();
+      Done.wait();
+      Done = {};
+    }
+  }
+
+private:
+  std::promise<void> Release;
+  std::shared_future<void> Latch;
+  std::atomic<bool> Parked{false};
+  std::future<void> Done;
+};
+
+} // namespace
+
+TEST(ThreadPool, HelpWaitRunsAQueuedTaskOnTheCaller) {
+  ThreadPool Pool(1);
+  ParkedWorker Busy(Pool);
+  std::thread::id RanOn;
+  std::future<void> F =
+      Pool.submit([&RanOn] { RanOn = std::this_thread::get_id(); });
+  // The only worker is parked, so the task can only finish if the
+  // helping wait runs it here; a plain F.wait() would hang.
+  Pool.helpWait(F);
+  EXPECT_EQ(RanOn, std::this_thread::get_id());
+  // Both the parked task and the helped one are counted.
+  EXPECT_EQ(Pool.tasksRun(), 2u);
+}
+
+TEST(ThreadPool, NestedHelpWaitCompletes) {
+  // From a non-worker caller: A waits on B, B waits on C, all queued
+  // behind a parked worker.
+  {
+    ThreadPool Pool(1);
+    ParkedWorker Busy(Pool);
+    std::vector<int> Order;
+    std::future<void> A = Pool.submit([&] {
+      std::future<void> B = Pool.submit([&] {
+        std::future<void> C = Pool.submit([&] { Order.push_back(3); });
+        Pool.helpWait(C);
+        Order.push_back(2);
+      });
+      Pool.helpWait(B);
+      Order.push_back(1);
+    });
+    Pool.helpWait(A);
+    EXPECT_EQ(Order, (std::vector<int>{3, 2, 1}));
+    EXPECT_EQ(Pool.tasksRun(), 4u);
+  }
+  // From inside the only worker: a task that waits on a task it queued.
+  {
+    ThreadPool Pool(1);
+    std::atomic<int> Inner{0};
+    std::future<void> Outer = Pool.submit([&] {
+      std::vector<std::future<void>> Fs;
+      for (int I = 0; I != 8; ++I)
+        Fs.push_back(Pool.submit([&Inner] { ++Inner; }));
+      for (std::future<void> &F : Fs)
+        Pool.helpWait(F);
+    });
+    Outer.wait();
+    EXPECT_EQ(Inner.load(), 8);
+  }
+}
+
+TEST(ThreadPool, WaitCoversTasksAHelperRuns) {
+  ThreadPool Pool(1);
+  ParkedWorker Busy(Pool);
+  std::promise<void> Finish;
+  std::shared_future<void> FinishLatch = Finish.get_future().share();
+  std::atomic<bool> Started{false};
+  std::atomic<bool> Finished{false};
+  std::future<void> F = Pool.submit([&] {
+    Started.store(true);
+    FinishLatch.wait();
+    Finished.store(true);
+  });
+  std::thread Helper([&Pool, &F] { Pool.helpWait(F); });
+  while (!Started.load())
+    std::this_thread::yield();
+  // The worker goes idle with an empty queue; the pool is still busy
+  // with the task the helper runs.
+  Busy.release();
+  std::atomic<bool> WaitReturned{false};
+  bool FinishedWhenWaitReturned = false;
+  std::thread Waiter([&] {
+    Pool.wait();
+    FinishedWhenWaitReturned = Finished.load();
+    WaitReturned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(WaitReturned.load());
+  Finish.set_value();
+  Waiter.join();
+  Helper.join();
+  EXPECT_TRUE(FinishedWhenWaitReturned);
 }
 
 TEST(ThreadPool, ZeroThreadsClampsToOne) {

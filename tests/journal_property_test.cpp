@@ -480,6 +480,80 @@ TEST(JournalProperty, OutOfRangeCountsAreSkippedNotWrapped) {
   std::remove(Path.c_str());
 }
 
+TEST(JournalProperty, OutOfRangeEstimateFieldsAreSkippedNotNarrowed) {
+  // Every integer of an estimate and of a job record is decoded exactly:
+  // an unknown operator class, a width or count that does not fit an
+  // unsigned, a cycle or FSM-state count that is negative, fractional
+  // or past 2^64 - 1 each make the record corrupt, never a wrapped or
+  // truncated value in the cache.
+  auto evalLine = [](const std::string &Key, const std::string &Cycles,
+                     const std::string &Units, const std::string &Fsm) {
+    return "{\"type\":\"eval\",\"key\":\"" + Key +
+           "\",\"attempts\":\"1\",\"est\":{\"cycles\":" + Cycles +
+           ",\"slices\":\"0x1p+3\",\"registers\":\"4\",\"units\":[" +
+           Units + "],\"fsm\":" + Fsm + "}}";
+  };
+  auto jobLine = [](const std::string &Name, const std::string &Cycles) {
+    return "{\"type\":\"job\",\"name\":\"" + Name +
+           "\",\"strategy\":\"guided\",\"selected\":\"(1, 1)\","
+           "\"cycles\":" +
+           Cycles + ",\"slices\":\"0x1p+3\",\"evals\":\"3\"}";
+  };
+  const std::string Max64 = "\"18446744073709551615\"";
+  std::vector<std::string> Good = {
+      evalLine("ok-edges", Max64, "[7,4294967295,4294967295]", Max64),
+      evalLine("ok-plain", "\"12\"", "[0,32,2],[1,16,1]", "\"3\""),
+      jobLine("ok-job", Max64),
+  };
+  std::vector<std::string> Bad = {
+      evalLine("class-99", "\"12\"", "[99,32,1]", "\"3\""),
+      evalLine("class-past-wire", "\"12\"", "[8,32,1]", "\"3\""),
+      evalLine("class-negative", "\"12\"", "[-1,32,1]", "\"3\""),
+      evalLine("width-negative", "\"12\"", "[0,-1,1]", "\"3\""),
+      evalLine("width-2^32", "\"12\"", "[0,4294967296,1]", "\"3\""),
+      evalLine("count-negative", "\"12\"", "[0,32,-1]", "\"3\""),
+      evalLine("count-2^32", "\"12\"", "[0,32,4294967296]", "\"3\""),
+      evalLine("count-fraction", "\"12\"", "[0,32,2.5]", "\"3\""),
+      evalLine("cycles-negative", "\"-1\"", "", "\"3\""),
+      evalLine("cycles-fraction", "\"2.9\"", "", "\"3\""),
+      evalLine("cycles-2^64", "\"18446744073709551616\"", "", "\"3\""),
+      evalLine("fsm-negative", "\"12\"", "", "\"-1\""),
+      evalLine("fsm-fraction", "\"12\"", "", "2.9"),
+      jobLine("job-cycles-negative", "\"-1\""),
+      jobLine("job-cycles-fraction", "2.9"),
+  };
+  std::string Path = tempPath("journal_prop_narrow.jsonl");
+  std::string Bytes = "{\"type\":\"header\",\"version\":\"2\"}\n";
+  for (const std::string &L : Good)
+    Bytes += L + "\n";
+  for (const std::string &L : Bad)
+    Bytes += L + "\n";
+  writeFile(Path, Bytes);
+
+  Expected<EvaluationJournal::Contents> Loaded = EvaluationJournal::load(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.status().message();
+  const EvaluationJournal::Contents &C = Loaded.value();
+  EXPECT_EQ(C.SkippedLines, Bad.size());
+  ASSERT_EQ(C.Evaluations.size(), 2u);
+  ASSERT_EQ(C.Jobs.size(), 1u);
+
+  const SynthesisEstimate &Edges = C.Evaluations[0].second.Estimate.value();
+  EXPECT_EQ(C.Evaluations[0].first, "ok-edges");
+  EXPECT_EQ(Edges.Cycles, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(Edges.FsmStates, std::numeric_limits<uint64_t>::max());
+  ASSERT_EQ(Edges.Units.size(), 1u);
+  EXPECT_EQ(Edges.Units.begin()->first.first, OpClass::Wire);
+  EXPECT_EQ(Edges.Units.begin()->first.second,
+            std::numeric_limits<unsigned>::max());
+  EXPECT_EQ(Edges.Units.begin()->second, std::numeric_limits<unsigned>::max());
+  const SynthesisEstimate &Plain = C.Evaluations[1].second.Estimate.value();
+  EXPECT_EQ(Plain.Cycles, 12u);
+  EXPECT_EQ(Plain.FsmStates, 3u);
+  EXPECT_EQ(Plain.Units.size(), 2u);
+  EXPECT_EQ(C.Jobs[0].Cycles, std::numeric_limits<uint64_t>::max());
+  std::remove(Path.c_str());
+}
+
 TEST(JournalProperty, VersionOneJournalsLoadWithoutSkips) {
   // Unroll-only keys are byte-identical across v1 and v2; a v1 header
   // must load clean so pre-upgrade journals keep resuming.

@@ -136,6 +136,9 @@ TEST(ParallelExplorer, SharedPoolAcrossRunsMatchesToo) {
     Kernel K = buildKernel(Spec.Name);
     ExplorerOptions Opts;
     ExplorerOptions Par = Opts;
+    // NumThreads > 1 is what permits guided speculation; the pool only
+    // says where it runs.
+    Par.NumThreads = 4;
     Par.Pool = Pool;
     Par.Cache = Cache;
     SCOPED_TRACE(Spec.Name);
@@ -282,17 +285,17 @@ TEST(BatchExplorer, CacheStatsStayConsistentUnderConcurrentSnapshots) {
 TEST(BatchExplorer, ExhaustiveModeAndSequentialBatchAgree) {
   std::vector<BatchJob> Jobs;
   Jobs.emplace_back("fir", buildKernel("FIR"), ExplorerOptions{},
-                    BatchJob::Mode::Exhaustive);
+                    "exhaustive");
   Jobs.emplace_back("mm", buildKernel("MM"), ExplorerOptions{},
-                    BatchJob::Mode::Exhaustive);
+                    "exhaustive");
 
   BatchOptions Par;
   Par.NumThreads = 2;
   std::vector<BatchJob> JobsCopy;
   JobsCopy.emplace_back("fir", buildKernel("FIR"), ExplorerOptions{},
-                        BatchJob::Mode::Exhaustive);
+                        "exhaustive");
   JobsCopy.emplace_back("mm", buildKernel("MM"), ExplorerOptions{},
-                        BatchJob::Mode::Exhaustive);
+                        "exhaustive");
 
   std::vector<BatchResult> Sequential = exploreBatch(std::move(Jobs), {});
   std::vector<BatchResult> Parallel =
@@ -300,4 +303,135 @@ TEST(BatchExplorer, ExhaustiveModeAndSequentialBatchAgree) {
   ASSERT_EQ(Sequential.size(), Parallel.size());
   for (size_t I = 0; I != Sequential.size(); ++I)
     expectIdentical(Sequential[I].Result, Parallel[I].Result);
+}
+
+namespace {
+
+/// One batch's observable outcome, per job: the result and the job's
+/// decision-digest lines (its track in the batch's shared recorder).
+struct BatchOutcome {
+  std::vector<BatchResult> Results;
+  std::vector<std::vector<std::string>> Digests;
+};
+
+/// Runs \p Jobs (strategy per job) under \p Opts with a fresh cache and
+/// a fresh enabled recorder.
+BatchOutcome runTracedBatch(
+    const std::vector<std::pair<std::string, std::string>> &Jobs,
+    BatchOptions Opts) {
+  auto Trace = std::make_shared<TraceRecorder>();
+  Trace->setEnabled(true);
+  Opts.Trace = Trace;
+  Opts.Cache = std::make_shared<EstimateCache>();
+  BatchExplorer Engine(Opts);
+  for (const auto &[Kernel, Strategy] : Jobs)
+    Engine.addJob(BatchJob(Kernel + "/" + Strategy, buildKernel(Kernel),
+                           ExplorerOptions{}, Strategy));
+  BatchOutcome Out;
+  Out.Results = Engine.runAll();
+  std::vector<std::string> Lines = Trace->decisionDigest();
+  for (const BatchResult &R : Out.Results) {
+    const std::string Prefix = R.Name + "|";
+    Out.Digests.emplace_back();
+    for (const std::string &L : Lines)
+      if (L.compare(0, Prefix.size(), Prefix) == 0)
+        Out.Digests.back().push_back(L);
+  }
+  return Out;
+}
+
+uint64_t statValue(const char *Group, const char *Name) {
+  for (const StatSnapshot &S : StatRegistry::instance().snapshot())
+    if (S.Group == Group && S.Name == Name)
+      return S.Value;
+  return 0;
+}
+
+} // namespace
+
+TEST(BatchExplorer, CandidateListJobsFanOutAndMatchTheSequentialBatch) {
+  // More jobs than workers, so jobs nest inside each other's helping
+  // waits; the 1-thread pool passed explicitly is the case a plain
+  // future wait would deadlock.
+  const std::vector<std::pair<std::string, std::string>> Jobs = {
+      {"FIR", "exhaustive"}, {"FIR", "random"}, {"PAT", "exhaustive"},
+      {"PAT", "random"},     {"MM", "random"},  {"JAC", "random"}};
+  BatchOutcome Seq = runTracedBatch(Jobs, {});
+  ASSERT_EQ(Seq.Results.size(), Jobs.size());
+
+  // {threads, pool passed through BatchOptions::Pool}.
+  for (auto [Threads, ExplicitPool] :
+       {std::pair{1u, true}, std::pair{2u, false}, std::pair{4u, true}}) {
+    SCOPED_TRACE(std::to_string(Threads) + " thread(s)" +
+                 (ExplicitPool ? ", explicit pool" : ""));
+    BatchOptions Opts;
+    Opts.NumThreads = Threads;
+    std::shared_ptr<ThreadPool> Pool;
+    if (ExplicitPool)
+      Opts.Pool = Pool = std::make_shared<ThreadPool>(Threads);
+    BatchOutcome Par = runTracedBatch(Jobs, Opts);
+    ASSERT_EQ(Par.Results.size(), Seq.Results.size());
+    for (size_t I = 0; I != Seq.Results.size(); ++I) {
+      SCOPED_TRACE(Seq.Results[I].Name);
+      EXPECT_EQ(Par.Results[I].Name, Seq.Results[I].Name);
+      expectIdentical(Seq.Results[I].Result, Par.Results[I].Result);
+      EXPECT_FALSE(Seq.Digests[I].empty());
+      EXPECT_EQ(Seq.Digests[I], Par.Digests[I]);
+    }
+    // The pool ran the candidates too, not only one task per job.
+    if (Pool) {
+      EXPECT_GT(Pool->tasksRun(), 2 * Jobs.size());
+    }
+  }
+}
+
+TEST(BatchExplorer, GuidedJobsNeverSpeculateInsideABatch) {
+  StatRegistry::instance().setEnabled(true);
+  uint64_t Before = statValue("explore", "speculated");
+  BatchOptions Batch;
+  Batch.NumThreads = 4;
+  BatchExplorer Engine(Batch);
+  for (const KernelSpec &Spec : paperKernels())
+    for (const char *Strategy : {"guided", "guided+tile"}) {
+      // Even a job asking for its own threads stays sequential: its
+      // parallelism budget is the batch's.
+      ExplorerOptions Opts;
+      Opts.NumThreads = 4;
+      Engine.addJob(buildKernel(Spec.Name), std::move(Opts), Strategy);
+    }
+  std::vector<BatchResult> Results = Engine.runAll();
+  uint64_t After = statValue("explore", "speculated");
+  StatRegistry::instance().setEnabled(false);
+  EXPECT_EQ(Results.size(), 2 * paperKernels().size());
+  EXPECT_EQ(After - Before, 0u);
+}
+
+TEST(BatchExplorer, InjectedEstimatorJobsStaySingleThreaded) {
+  // A custom backend need not be thread-safe, so a job that brings one
+  // is never lent the batch pool, even as a candidate-list search.
+  auto InFlight = std::make_shared<std::atomic<int>>(0);
+  auto MaxInFlight = std::make_shared<std::atomic<int>>(0);
+  ExplorerOptions Counted;
+  Counted.Estimator = [InFlight, MaxInFlight](const Kernel &K,
+                                              const TargetPlatform &P) {
+    int Now = ++*InFlight;
+    int Seen = MaxInFlight->load();
+    while (Now > Seen && !MaxInFlight->compare_exchange_weak(Seen, Now)) {
+    }
+    Expected<SynthesisEstimate> E = estimateVerifiedDesign(K, P);
+    --*InFlight;
+    return E;
+  };
+  BatchOptions Batch;
+  Batch.NumThreads = 4;
+  BatchExplorer Engine(Batch);
+  Engine.addJob(buildKernel("PAT"), Counted, "exhaustive");
+  Engine.addJob(buildKernel("FIR"), ExplorerOptions{}, "random");
+  Engine.addJob(buildKernel("PAT"), ExplorerOptions{}, "random");
+  std::vector<BatchResult> Results = Engine.runAll();
+  ASSERT_EQ(Results.size(), 3u);
+  EXPECT_GT(Results[0].Result.EvaluationsUsed, 1u);
+  EXPECT_EQ(MaxInFlight->load(), 1);
+  expectIdentical(exploreExhaustive(buildKernel("PAT"), {}),
+                  Results[0].Result);
 }

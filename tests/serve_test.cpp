@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -107,52 +108,99 @@ TEST_F(ServeTest, RepeatRequestServedWarmAndBitIdentical) {
   EXPECT_EQ(Hot.Digest, Cold.Digest);
 
   // And it is faster: the cold run pays the estimator, the warm one only
-  // the cache walk. Generous 2x margin (observed ~16x) to stay unflaky.
-  EXPECT_LT(Hot.LatencyUs, Cold.LatencyUs / 2)
-      << "warm=" << Hot.LatencyUs << "us cold=" << Cold.LatencyUs << "us";
+  // the cache walk. Generous 2x margin (observed ~16x); the fastest of
+  // five warm repeats is compared, so one descheduled request on a busy
+  // host cannot fail the check.
+  double FastestWarmUs = Hot.LatencyUs;
+  for (int Repeat = 1; Repeat != 5; ++Repeat) {
+    ServeResponse Again = oneShot(SocketPath, exploreFIR());
+    ASSERT_EQ(Again.RStatus, ServeStatus::Ok) << Again.Reason;
+    EXPECT_TRUE(Again.Warm);
+    EXPECT_EQ(Again.Digest, Cold.Digest);
+    FastestWarmUs = std::min(FastestWarmUs, Again.LatencyUs);
+  }
+  EXPECT_LT(FastestWarmUs, Cold.LatencyUs / 2)
+      << "fastest warm=" << FastestWarmUs << "us cold=" << Cold.LatencyUs
+      << "us";
 
-  EXPECT_EQ(Server->requestsReceived(), 2u);
-  EXPECT_EQ(Server->warmHits(), 1u);
+  EXPECT_EQ(Server->requestsReceived(), 6u);
+  EXPECT_EQ(Server->warmHits(), 5u);
 }
 
-TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
-  startServer({});
-  ServeResponse Served = oneShot(SocketPath, exploreFIR());
-  ASSERT_EQ(Served.RStatus, ServeStatus::Ok) << Served.Reason;
-
-  // The same exploration, run standalone the way the daemon runs it:
-  // one BatchExplorer job with a fresh cache and its own recorder.
+/// Checks a daemon reply against the same exploration run standalone the
+/// way the daemon runs it: one sequential BatchExplorer job of a
+/// built-in kernel on the default platform, with a fresh cache and its
+/// own recorder.
+void expectMatchesStandaloneRun(const ServeRequest &Req,
+                                const ServeResponse &Served) {
   auto Recorder = std::make_shared<TraceRecorder>();
   Recorder->setEnabled(true);
   ExplorerOptions O;
   O.Platform = TargetPlatform::wildstarPipelined();
-  O.MaxEvaluations = 30;
+  O.MaxEvaluations = Req.Budget;
   O.Trace = Recorder;
   BatchOptions B;
   B.Cache = std::make_shared<EstimateCache>();
   BatchExplorer Engine(B);
-  Kernel K = buildKernel("FIR");
+  Kernel K = buildKernel(Req.Kernel);
   // The digest lines embed the job's track label, so the standalone run
   // must carry the same deterministic request identity the daemon used.
-  std::string JobName = DseServer::requestJobName(exploreFIR(), K);
-  Engine.addJob(
-      BatchJob(JobName, std::move(K), std::move(O), std::string("guided")));
+  std::string JobName = DseServer::requestJobName(Req, K);
+  Engine.addJob(BatchJob(JobName, std::move(K), std::move(O), Req.Strategy));
   std::vector<BatchResult> Results = Engine.runAll();
   ASSERT_EQ(Results.size(), 1u);
   const ExplorationResult &E = Results[0].Result;
 
+  EXPECT_EQ(Served.Strategy, Req.Strategy);
   EXPECT_EQ(Served.Selected, E.SelectedPoint.isUnrollOnly()
                                  ? unrollVectorToString(E.Selected)
                                  : E.SelectedPoint.toString());
   EXPECT_EQ(Served.Cycles, E.SelectedEstimate.Cycles);
   EXPECT_EQ(Served.Evaluations, E.EvaluationsUsed);
   // Decision digests hash the deterministic decision payloads; equality
-  // proves the served walk evaluated exactly the standalone set. The
-  // digest lines carry the job's track label, so hash them relabeled.
+  // proves the served walk evaluated exactly the standalone set.
   std::vector<std::string> Lines = Recorder->decisionDigest();
   ASSERT_FALSE(Lines.empty());
   EXPECT_EQ(Served.Digest.size(), 16u);
   EXPECT_EQ(Served.Digest, digestHash(Lines));
+}
+
+TEST_F(ServeTest, ServedDigestMatchesStandaloneRun) {
+  startServer({});
+  ServeResponse Served = oneShot(SocketPath, exploreFIR());
+  ASSERT_EQ(Served.RStatus, ServeStatus::Ok) << Served.Reason;
+  expectMatchesStandaloneRun(exploreFIR(), Served);
+}
+
+TEST_F(ServeTest, ConcurrentExhaustiveAndGuidedMatchStandaloneRuns) {
+  // The exhaustive request fans its candidates out over the daemon's
+  // pool while the guided one walks sequentially beside it; neither
+  // answer may differ from a standalone run.
+  ServeOptions Opts;
+  Opts.NumThreads = 2;
+  startServer(std::move(Opts));
+  ServeRequest Exhaustive = exploreFIR();
+  Exhaustive.Kernel = "MM";
+  Exhaustive.Strategy = "exhaustive";
+  ServeRequest Guided = exploreFIR();
+  Guided.Kernel = "JAC";
+
+  Expected<UnixConnection> A = UnixConnection::connectTo(SocketPath);
+  Expected<UnixConnection> B = UnixConnection::connectTo(SocketPath);
+  ASSERT_TRUE(A && B);
+  ASSERT_TRUE(A->sendLine(Exhaustive.toJson()).isOk());
+  ASSERT_TRUE(B->sendLine(Guided.toJson()).isOk());
+  const std::pair<UnixConnection *, const ServeRequest *> Sent[] = {
+      {&*A, &Exhaustive}, {&*B, &Guided}};
+  for (auto [Conn, Req] : Sent) {
+    SCOPED_TRACE(Req->Strategy);
+    Expected<std::optional<std::string>> Line = Conn->recvLine();
+    ASSERT_TRUE(Line && Line.value());
+    Expected<ServeResponse> R = parseServeResponse(*Line.value());
+    ASSERT_TRUE(static_cast<bool>(R)) << R.status().message();
+    ASSERT_EQ(R->RStatus, ServeStatus::Ok) << R->Reason;
+    expectMatchesStandaloneRun(*Req, *R);
+  }
 }
 
 TEST_F(ServeTest, BatchStateIsReportedPerReply) {
