@@ -6,7 +6,6 @@
 
 #include "BenchCommon.h"
 
-#include "defacto/Support/CommandLine.h"
 #include "defacto/Support/MathExtras.h"
 #include "defacto/Support/Table.h"
 #include "defacto/Transforms/PassRegistry.h"
@@ -15,40 +14,12 @@
 
 using namespace defacto;
 
-// The flag parsing itself lives in Support/CommandLine.h (one parser for
-// every driver binary); these wrappers keep the historical bench API.
-
-bool defacto::bench::parseCsvFlag(int Argc, char **Argv) {
-  cl::ArgList Args(Argc, Argv);
-  return Args.consumeFlag("--csv");
-}
-
-std::string defacto::bench::parsePipelineFlag(int Argc, char **Argv) {
-  cl::ArgList Args(Argc, Argv);
-  std::string Text = Args.consumeValue("--pipeline").value_or("");
-  if (Text.empty())
-    return Text;
-  if (Expected<std::vector<std::string>> Parsed = parsePipelineText(Text);
-      !Parsed) {
-    std::fprintf(stderr,
-                 "warning: bad --pipeline: %s; using the default pipeline\n",
-                 Parsed.status().message().c_str());
-    return "";
-  }
-  return Text;
-}
-
-bench::ObservabilityFlags defacto::bench::parseObservabilityFlags(int &Argc,
-                                                                  char **Argv) {
+cl::ObservabilityConfig defacto::bench::parseObservabilityFlags(int &Argc,
+                                                                char **Argv) {
   cl::ArgList Args(Argc, Argv);
   cl::ObservabilityConfig Config = cl::consumeObservabilityFlags(Args);
   Args.compactInto(Argc, Argv);
-  return {Config.TraceOutPath, Config.Stats, Config.StatsOutPath};
-}
-
-bool defacto::bench::finishObservability(const ObservabilityFlags &Flags) {
-  return cl::finishObservability(
-      {Flags.TraceOutPath, Flags.Stats, Flags.StatsOutPath});
+  return Config;
 }
 
 int defacto::bench::runFigureSweep(const std::string &FigureName,

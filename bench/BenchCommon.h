@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the paper-figure benchmark binaries: the unroll
-/// sweep that regenerates the balance / execution-cycles / area panels of
+/// Helpers shared by the benchmark binaries: the unroll sweep that
+/// regenerates the balance / execution-cycles / area panels of
 /// Figures 4-10, with the DSE-selected design and the device capacity
 /// marked the way the paper's plots mark them.
 ///
@@ -17,6 +17,7 @@
 
 #include "defacto/Core/Explorer.h"
 #include "defacto/Kernels/Kernels.h"
+#include "defacto/Support/CommandLine.h"
 
 #include <string>
 
@@ -33,52 +34,18 @@ namespace bench {
 /// paper's x axis); columns are outer-loop factors (the paper's curves).
 /// With \p Csv the panels print as CSV blocks for downstream plotting.
 /// \p Pipeline overrides the transformation pass pipeline (a
-/// comma-separated PassRegistry list; empty keeps the default — see
-/// parsePipelineFlag). Returns 0 on success, 2 on a bad pipeline.
+/// comma-separated PassRegistry list; empty keeps the default). Returns
+/// 0 on success, 2 on a bad pipeline.
 int runFigureSweep(const std::string &FigureName,
                    const std::string &KernelName,
                    const TargetPlatform &Platform, bool Csv = false,
                    const std::string &Pipeline = "");
 
-/// Parses the common figure-bench command line: `--csv` selects CSV
-/// output.
-bool parseCsvFlag(int Argc, char **Argv);
-
-/// Parses `--pipeline=p1,p2,...` (a comma-separated PassRegistry pass
-/// list overriding the default transformation pipeline). Defaults to ""
-/// (the built-in default pipeline); an unparsable list warns on stderr
-/// — listing the registered passes — and falls back to the default, so
-/// a figure bench still produces its panels.
-std::string parsePipelineFlag(int Argc, char **Argv);
-
-/// The common observability command line shared by the bench binaries:
-///   --trace-out=PATH   write a Chrome trace_event file (chrome://tracing
-///                      / Perfetto) of the run's decision/phase events
-///   --stats            print the counter registry and phase timings at
-///                      exit
-///   --stats-out=PATH   write counters + timers + histograms as one JSON
-///                      document at exit
-struct ObservabilityFlags {
-  std::string TraceOutPath; // empty: tracing stays off
-  bool Stats = false;
-  std::string StatsOutPath; // empty: no stats file
-
-  bool any() const {
-    return Stats || !TraceOutPath.empty() || !StatsOutPath.empty();
-  }
-};
-
-/// Peels --trace-out=/--stats/--stats-out out of (\p Argc, \p Argv),
-/// compacting the remaining arguments in place, and enables the global
-/// TraceRecorder / StatRegistry accordingly. Call before handing argv to
-/// another parser.
-ObservabilityFlags parseObservabilityFlags(int &Argc, char **Argv);
-
-/// Finishes an observed run: writes the Chrome trace when a path was
-/// given, prints counters plus phase timings when --stats was, and writes
-/// the stats JSON file when --stats-out was. Returns false when an output
-/// file could not be written.
-bool finishObservability(const ObservabilityFlags &Flags);
+/// Peels the shared observability flags (cl::consumeObservabilityFlags)
+/// out of (\p Argc, \p Argv), compacting the remaining arguments in
+/// place, for binaries that hand argv on to another parser. Finish the
+/// run with cl::finishObservability.
+cl::ObservabilityConfig parseObservabilityFlags(int &Argc, char **Argv);
 
 } // namespace bench
 } // namespace defacto

@@ -11,11 +11,12 @@
 /// comparison points the number of synthesis estimations and the
 /// engine's throughput across worker-thread counts.
 ///
-/// The parallel benchmarks sweep threads = 1/2/4/8 over the guided walk
-/// (speculative frontier evaluation), the exhaustive baseline (candidate
-/// fan-out), and the multi-kernel batch driver. Every case runs on a
-/// fresh estimate cache per iteration, so the numbers measure cold
-/// exploration throughput, not cache replay.
+/// The parallel benchmarks sweep threads = 1/2/4/8 over the exhaustive
+/// baseline (candidate fan-out on ExplorerOptions::Pool) and the
+/// multi-kernel batch driver; the guided walk is sequential and is timed
+/// once per kernel. Every parallel case runs on a fresh estimate cache
+/// per iteration, so the numbers measure cold exploration throughput,
+/// not cache replay.
 ///
 /// Counters: "estimations" is the per-iteration mean of estimator
 /// attempts actually spent; "cache_hit_rate" the per-iteration mean of
@@ -35,6 +36,7 @@
 #include "defacto/Core/BatchExplorer.h"
 #include "defacto/Core/Explorer.h"
 #include "defacto/Kernels/Kernels.h"
+#include "defacto/Support/Json.h"
 #include "defacto/Support/Stats.h"
 #include "defacto/Support/Timer.h"
 #include "defacto/Support/Trace.h"
@@ -147,27 +149,6 @@ void BM_Exploration(benchmark::State &State, const char *Name,
   }
 }
 
-void BM_ExplorationThreads(benchmark::State &State, const char *Name) {
-  Kernel K = buildKernel(Name);
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  // One pool for the whole benchmark: thread spawn cost is not part of
-  // an exploration. The cache is fresh per iteration (cold throughput).
-  auto Pool = std::make_shared<ThreadPool>(Threads);
-  StatsSink Sink(State, Name, "guided", Threads);
-  for (auto _ : State) {
-    ExplorerOptions Opts;
-    Opts.NumThreads = Threads;
-    if (Threads > 1)
-      Opts.Pool = Pool;
-    Opts.Cache = std::make_shared<EstimateCache>();
-    double T0 = now();
-    DesignSpaceExplorer Ex(K, Opts);
-    ExplorationResult R = Ex.run();
-    benchmark::DoNotOptimize(R.SelectedEstimate.Cycles);
-    Sink.observe(now() - T0, R.EvaluationsUsed, Opts.Cache->stats());
-  }
-}
-
 void BM_ExhaustiveThreads(benchmark::State &State, const char *Name) {
   Kernel K = buildKernel(Name);
   unsigned Threads = static_cast<unsigned>(State.range(0));
@@ -175,7 +156,6 @@ void BM_ExhaustiveThreads(benchmark::State &State, const char *Name) {
   StatsSink Sink(State, Name, "exhaustive", Threads);
   for (auto _ : State) {
     ExplorerOptions Opts;
-    Opts.NumThreads = Threads;
     if (Threads > 1)
       Opts.Pool = Pool;
     Opts.Cache = std::make_shared<EstimateCache>();
@@ -230,16 +210,6 @@ void BM_TransformPipeline(benchmark::State &State, const char *Name) {
   }
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
 /// Observability data for the JSON report, gathered by one instrumented
 /// exploration pass after the timed benchmarks finish (the benchmarks
 /// themselves run with recording off, so the timings never measure the
@@ -289,9 +259,10 @@ void writeJsonReport(const std::string &Path, const ObservedPass &Obs) {
   OS << "{\n  \"benchmarks\": [\n";
   for (size_t I = 0; I != Final.size(); ++I) {
     const JsonRecord &R = Final[I];
-    OS << "    {\"benchmark\": \"" << jsonEscape(R.Benchmark)
-       << "\", \"kernel\": \"" << jsonEscape(R.Kernel) << "\", \"mode\": \""
-       << jsonEscape(R.Mode) << "\", \"threads\": " << R.Threads
+    OS << "    {\"benchmark\": " << jsonQuote(R.Benchmark)
+       << ", \"kernel\": " << jsonQuote(R.Kernel)
+       << ", \"mode\": " << jsonQuote(R.Mode)
+       << ", \"threads\": " << R.Threads
        << ", \"iterations\": " << R.Iterations
        << ", \"wall_seconds_mean\": " << R.WallSecondsMean
        << ", \"estimations_mean\": " << R.EstimationsMean
@@ -322,12 +293,6 @@ BENCHMARK_CAPTURE(BM_Exploration, mm_pipelined, "MM", true);
 BENCHMARK_CAPTURE(BM_Exploration, pat_pipelined, "PAT", true);
 BENCHMARK_CAPTURE(BM_Exploration, jac_pipelined, "JAC", true);
 BENCHMARK_CAPTURE(BM_Exploration, sobel_pipelined, "SOBEL", true);
-BENCHMARK_CAPTURE(BM_ExplorationThreads, fir, "FIR")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK_CAPTURE(BM_ExplorationThreads, mm, "MM")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK_CAPTURE(BM_ExplorationThreads, sobel, "SOBEL")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_ExhaustiveThreads, fir, "FIR")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_ExhaustiveThreads, mm, "MM")
@@ -341,7 +306,7 @@ BENCHMARK_CAPTURE(BM_TransformPipeline, sobel, "SOBEL");
 int main(int argc, char **argv) {
   // Peel --trace-out=/--stats first, then our --json flag, before
   // google-benchmark sees the argv.
-  bench::ObservabilityFlags Obs = bench::parseObservabilityFlags(argc, argv);
+  cl::ObservabilityConfig Obs = bench::parseObservabilityFlags(argc, argv);
   // The timed benchmarks always run with recording off: counters, timers
   // and a trace of every iteration would measure the instrumentation.
   // The flags apply to the instrumented pass that follows the benchmarks.
@@ -367,7 +332,7 @@ int main(int argc, char **argv) {
   ObservedPass Observed = runObservedPass();
   if (!JsonPath.empty())
     writeJsonReport(JsonPath, Observed);
-  if (!bench::finishObservability(Obs))
+  if (!cl::finishObservability(Obs))
     return 1;
   return 0;
 }

@@ -71,14 +71,12 @@ struct SweepOutcome {
   std::vector<std::string> Digest;
 };
 
-/// One exhaustive sweep with a fresh estimate cache.
-SweepOutcome runSweep(const Kernel &K, unsigned Threads,
-                      std::shared_ptr<ThreadPool> Pool,
+/// One exhaustive sweep with a fresh estimate cache, its candidates
+/// fanned out over \p Pool (sequential when null).
+SweepOutcome runSweep(const Kernel &K, std::shared_ptr<ThreadPool> Pool,
                       bool WantDigest = false) {
   ExplorerOptions Opts;
-  Opts.NumThreads = Threads;
-  if (Threads > 1)
-    Opts.Pool = Pool;
+  Opts.Pool = std::move(Pool);
   Opts.Cache = std::make_shared<EstimateCache>();
 
   TraceRecorder &R = TraceRecorder::global();
@@ -132,7 +130,7 @@ std::string cpuModel() {
 } // namespace
 
 int main(int argc, char **argv) {
-  bench::ObservabilityFlags Obs = bench::parseObservabilityFlags(argc, argv);
+  cl::ObservabilityConfig Obs = bench::parseObservabilityFlags(argc, argv);
   // The timed sweeps run with recording off; the instrumented phase-split
   // pass below enables it explicitly.
   StatRegistry::instance().setEnabled(false);
@@ -152,7 +150,11 @@ int main(int argc, char **argv) {
   const Kernel K = buildKernel("MM");
   const unsigned Reps = Quick ? 2 : 5;
   const std::vector<unsigned> ThreadCounts = {1, 4, 8};
-  auto Pool = std::make_shared<ThreadPool>(8);
+  // One pool per thread count, spawned outside the timed sweeps; one
+  // thread is the sequential engine, no pool at all.
+  auto poolOf = [](unsigned T) {
+    return T > 1 ? std::make_shared<ThreadPool>(T) : nullptr;
+  };
 
   //===------------------------------------------------------------===//
   // Timed sweeps.
@@ -160,8 +162,9 @@ int main(int argc, char **argv) {
   std::vector<SweepRow> Rows;
   for (unsigned T : ThreadCounts) {
     SweepRow Row{T, Reps};
+    std::shared_ptr<ThreadPool> Pool = poolOf(T);
     for (unsigned I = 0; I != Reps; ++I) {
-      SweepOutcome O = runSweep(K, T, Pool);
+      SweepOutcome O = runSweep(K, Pool);
       if (I == 0 || O.Seconds < Row.BestSeconds)
         Row.BestSeconds = O.Seconds;
       Row.Evaluations = O.Evaluations;
@@ -172,8 +175,8 @@ int main(int argc, char **argv) {
   //===------------------------------------------------------------===//
   // Parity gate: 1 vs 8 threads.
   //===------------------------------------------------------------===//
-  SweepOutcome One = runSweep(K, 1, Pool, /*WantDigest=*/true);
-  SweepOutcome Eight = runSweep(K, 8, Pool, /*WantDigest=*/true);
+  SweepOutcome One = runSweep(K, nullptr, /*WantDigest=*/true);
+  SweepOutcome Eight = runSweep(K, poolOf(8), /*WantDigest=*/true);
   bool DigestMatch = !One.Digest.empty() && One.Digest == Eight.Digest;
   bool WinnerMatch = One.Selected == Eight.Selected &&
                      sameEstimate(One.Estimate, Eight.Estimate);
@@ -191,7 +194,7 @@ int main(int argc, char **argv) {
   StatRegistry::instance().setEnabled(true);
   TimerGroup::global().reset();
   HistogramRegistry::global().reset();
-  runSweep(K, 1, Pool);
+  runSweep(K, nullptr);
   std::string Phases = TimerGroup::global().toJson();
   HistogramSnapshot Lat;
   for (const HistogramSnapshot &S : HistogramRegistry::global().snapshot())
@@ -256,7 +259,7 @@ int main(int argc, char **argv) {
     Out << OS.str();
   }
 
-  if (!bench::finishObservability(Obs))
+  if (!cl::finishObservability(Obs))
     return 1;
   return DigestMatch && WinnerMatch ? 0 : 1;
 }

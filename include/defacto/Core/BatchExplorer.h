@@ -6,19 +6,19 @@
 ///
 /// \file
 /// Explores many (kernel, platform) jobs concurrently on one worker pool
-/// with one shared EstimateCache. Each job runs inside a pool worker.
-/// Jobs whose search consumes every candidate it prefetches — the
-/// candidate-list searches "exhaustive" and "random" — are lent the
-/// batch pool: they fan their candidates out onto it and help-wait
+/// with one shared EstimateCache. Each job runs inside a pool worker and
+/// is lent the batch pool as its ExplorerOptions::Pool. The
+/// candidate-list searches ("exhaustive", "random", and "random" inside
+/// "portfolio") fan their candidates out onto it and help-wait
 /// (ThreadPool::helpWait) instead of blocking, so one large job no
 /// longer sets the batch's wall time and a bounded pool cannot deadlock.
-/// Every other search runs sequentially inside its worker, composing
-/// with the other jobs only through the shared cache, as does any job
-/// that brings its own Estimator (parallel work needs a thread-safe,
-/// deterministic backend). Results come back in submission order and
-/// each job's outcome is identical to running it alone; jobs over the
-/// same kernel and platform additionally hit each other's cached
-/// estimates.
+/// The walks run sequentially inside their worker whatever the pool,
+/// composing with the other jobs only through the shared cache. A job
+/// that brings its own Estimator is lent no pool (parallel work needs a
+/// thread-safe, deterministic backend). Results come back in submission
+/// order and each job's outcome is identical to running it alone; jobs
+/// over the same kernel and platform additionally hit each other's
+/// cached estimates.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,9 +18,9 @@
 ///    charge-on-consumption semantics (a cached result charges the
 ///    attempts its original computation cost when it is consumed, not
 ///    when a worker computes it),
-///  - speculation: prefetch() fans candidate evaluations out across the
-///    worker pool; the strategy consumes memoized results in its own
-///    deterministic order,
+///  - candidate-list fan-out: prefetch() queues a search's whole
+///    candidate list on ExplorerOptions::Pool; the search consumes every
+///    result in its own deterministic order,
 ///  - per-evaluation observability: the "dse.decision" / "dse.failure" /
 ///    "dse.selection" trace events and the explore/cache stat counters.
 ///
@@ -129,19 +129,17 @@ struct ExplorerOptions {
   // bit-identical to the historical engine.
   //===--------------------------------------------------------------===//
 
-  /// Parallelism one exploration may use. Above 1 it permits
-  /// speculation: the guided walks evaluate their frontier ahead of the
-  /// walk, designs it may never consume included; with no Pool, this
-  /// many workers form a private pool. <= 1 keeps the guided-family
-  /// walks sequential. Any parallel work requires a thread-safe
-  /// Estimator (the default backend is; a FaultInjector-wrapped one is
-  /// not) and assumes it is deterministic — that is what makes a
-  /// parallel selection bit-identical to the sequential one's.
-  unsigned NumThreads = 1;
-  /// Where parallel work runs. The exhaustive and random searches, which
-  /// consume every candidate they prefetch, fan out onto it even with
-  /// NumThreads <= 1; that is how BatchExplorer lends its pool to them.
-  /// Sharing one pool across explorers bounds total worker threads.
+  /// The engine's one concurrency setting: where the candidate-list
+  /// searches (exhaustive, random, and random inside portfolio) fan their
+  /// candidates out. They consume every candidate they queue, so the
+  /// fan-out computes nothing the search skips. Every other search walks
+  /// sequentially whether or not a pool is set: each step depends on the
+  /// estimate before it. Unset: everything runs on the calling thread.
+  /// Fan-out requires a thread-safe Estimator (the default backend is; a
+  /// FaultInjector-wrapped one is not) and assumes it is deterministic —
+  /// that is what makes a fanned-out selection bit-identical to the
+  /// sequential one's. Sharing one pool across explorers bounds total
+  /// worker threads.
   std::shared_ptr<ThreadPool> Pool;
   /// Estimate cache shared across explorers, runs, and threads. Unset:
   /// the explorer creates a private cache, i.e. per-instance memoization
@@ -182,9 +180,9 @@ struct EvaluationFailure {
 /// Thread-compatibility: one service instance serves one search strategy
 /// at a time (strategies call it from their driving thread); prefetch()
 /// is the only entry point that fans work onto other threads, and the
-/// underlying EstimateCache serializes those against the consuming walk.
-/// awaitPrefetched() and drainSpeculation() may run other queued pool
-/// tasks, of this service or any other, on the driving thread.
+/// underlying EstimateCache serializes those against the consuming
+/// search. awaitPrefetched() and the destructor may run other queued
+/// pool tasks, of this service or any other, on the driving thread.
 class EvaluationService {
 public:
   /// Normalizes \p Opts (default estimator/clock/sleep, private cache
@@ -217,27 +215,20 @@ public:
   /// evaluate() over a design point.
   std::optional<SynthesisEstimate> evaluate(const DesignPoint &P);
 
-  /// Speculatively evaluates \p Candidates on the configured worker pool
-  /// into the estimate cache; no-op in sequential mode. Later
-  /// evaluate() calls consume the results in their own deterministic
-  /// order. Speculative work never charges the evaluation budget;
-  /// consumption does.
+  /// Queues the evaluation of each of \p Candidates on
+  /// ExplorerOptions::Pool, into the estimate cache; no-op without a
+  /// pool. Only a search that consumes every candidate it queues may
+  /// call it; later evaluate() calls consume the results in the search's
+  /// own deterministic order. Queued work never charges the evaluation
+  /// budget; consumption does.
   void prefetch(const std::vector<UnrollVector> &Candidates);
 
-  /// prefetch() over design points.
-  void prefetchPoints(const std::vector<DesignPoint> &Candidates);
-
-  /// Waits until the speculative evaluation of \p U that prefetch()
-  /// submitted has finished, running other queued pool tasks on this
-  /// thread meanwhile (ThreadPool::helpWait); no-op when none was
-  /// submitted. A strategy that consumes every point it prefetched calls
-  /// it before consuming each one, so neither this thread nor a worker
-  /// blocks on the other's in-flight cache entry.
+  /// Waits until the evaluation of \p U that prefetch() queued has
+  /// finished, running other queued pool tasks on this thread meanwhile
+  /// (ThreadPool::helpWait); no-op when none was queued. The consuming
+  /// search calls it before each candidate, so neither this thread nor a
+  /// worker blocks on the other's in-flight cache entry.
   void awaitPrefetched(const UnrollVector &U);
-
-  /// Waits until every outstanding speculative evaluation finished,
-  /// running queued pool tasks on this thread meanwhile.
-  void drainSpeculation();
 
   /// Arms the evaluation budget: evaluateChecked fails with
   /// BudgetExhausted once \p MaxEvaluations attempts have been charged.
@@ -336,13 +327,8 @@ public:
   /// kernel's name).
   const std::string &trackLabel() const { return Track; }
 
-  /// True when the options permit speculation a walk may never consume
-  /// (NumThreads > 1). A pool alone (ExplorerOptions::Pool) only says
-  /// where prefetch() runs work.
-  bool parallel() const { return Opts.NumThreads > 1; }
-
   /// Raw estimation attempts currently executing, process-wide (every
-  /// service, sequential walks and speculation workers alike). Tracked
+  /// service, sequential walks and pool workers alike). Tracked
   /// only while stats recording is enabled; the MetricsSampler exposes
   /// it as the in_flight_evals gauge.
   static uint64_t inFlightEvaluations();
@@ -366,7 +352,6 @@ private:
   Expected<SynthesisEstimate> invokeBackend(const Kernel &K,
                                             const DesignPoint &P) const;
   std::string cacheKey(const DesignPoint &P) const;
-  std::shared_ptr<ThreadPool> workerPool();
   /// Appends to the bounded failure ring, evicting (and counting) the
   /// oldest entry when full.
   void logFailure(EvaluationFailure F);
@@ -384,11 +369,10 @@ private:
   uint64_t SourceFp = 0;
   std::vector<unsigned> Preference; // nest positions, best first
   std::shared_ptr<EstimateCache> Estimates; // never null
-  std::shared_ptr<ThreadPool> Pool;         // created lazily when parallel
-  std::vector<std::future<void>> Speculation;
-  /// Index into Speculation of each point's speculative task; a point is
-  /// queued at most once between drains.
-  std::map<DesignPoint, size_t> SpeculationSlot;
+  std::vector<std::future<void>> Prefetched;
+  /// Index into Prefetched of each vector's task; a vector is queued at
+  /// most once per service.
+  std::map<UnrollVector, size_t> PrefetchSlot;
   std::map<DesignPoint, SynthesisEstimate> Cache; // this run's successes
   std::map<DesignPoint, Status> FailCache; // this run's permanent failures
   /// Bounded failure ring: oldest entry at FailLogStart once the ring

@@ -17,7 +17,7 @@
 ///        │          hillclimb/portfolio, plus the StrategyRegistry)
 ///        ▼
 ///   EvaluationService (EvaluationService.h — estimator seam, cache,
-///                      retries/budget/deadline, speculation, trace)
+///                      retries/budget/deadline, fan-out, trace)
 ///
 /// run() executes the guided balance walk: starting from a
 /// saturation-point design Uinit, the search walks unroll-factor vectors
@@ -32,21 +32,17 @@
 /// Exhaustive and random search baselines are provided for the coverage
 /// and quality comparisons of §6.3.
 ///
-/// Concurrency: ExplorerOptions::Pool is where parallel work runs, and
-/// NumThreads > 1 is what permits a walk to speculate. With NumThreads >
-/// 1 the engine speculatively evaluates the guided walk's whole
-/// candidate frontier — the Increase doubling chain and the
-/// SelectBetween bisection midpoints, both enumerable upfront in Psat
-/// multiples — on the pool (a private one when none is given), while the
-/// walk itself runs unchanged and consumes memoized results in its
-/// original deterministic order. The exhaustive and random baselines
-/// consume every candidate they prefetch, so any pool is enough for
-/// them to fan out; they help-wait on each candidate's task
+/// Concurrency: ExplorerOptions::Pool is the only setting. The walk
+/// chooses each next design from the balance of the one before, so the
+/// guided, guided+tile and hill-climb searches run sequentially whether
+/// or not a pool is set. The exhaustive and random baselines know their
+/// whole candidate list upfront and consume every candidate on it: with
+/// a pool they queue the list on it, help-wait on each candidate's task
 /// (ThreadPool::helpWait) and consume in candidate order. For a
 /// deterministic estimation backend the selected design is bit-identical
-/// to the sequential walk's; estimator attempts are charged to the
-/// evaluation budget when the walk consumes a result, not when a worker
-/// computes it.
+/// to the sequential run's; estimator attempts are charged to the
+/// evaluation budget when the search consumes a result, not when a
+/// worker computes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,26 +86,6 @@ public:
     return Svc.evaluateChecked(U);
   }
 
-  /// Speculatively evaluates \p Candidates on the configured worker pool
-  /// into the estimate cache; no-op in sequential mode. Later
-  /// evaluate()/run() calls consume the results in their own
-  /// deterministic order. Speculative work never charges the evaluation
-  /// budget; consumption does.
-  void prefetch(const std::vector<UnrollVector> &Candidates) {
-    Svc.prefetch(Candidates);
-  }
-
-  /// Waits until every outstanding speculative evaluation finished,
-  /// running queued pool tasks on this thread meanwhile.
-  void drainSpeculation() { Svc.drainSpeculation(); }
-
-  /// The frontier run() would speculate: base, Uinit, the Increase
-  /// doubling chain, and the SelectBetween bisection midpoint closure
-  /// (Psat multiples), deduplicated and capped.
-  std::vector<UnrollVector> guidedFrontier() const {
-    return defacto::guidedFrontier(Svc);
-  }
-
   const UnrollSpace &space() const { return Svc.space(); }
   const SaturationInfo &saturation() const { return Svc.saturation(); }
 
@@ -133,14 +109,6 @@ public:
   /// The search's starting point (§5.3's Uinit selection).
   UnrollVector initialVector() const { return guidedInitialVector(Svc); }
 
-  /// Emits one "dse.decision" trace event for an evaluated design; see
-  /// EvaluationService::traceDecision. The exhaustive/random drivers
-  /// call it per candidate; the guided walk at every branch.
-  void traceDecision(const UnrollVector &U, const SynthesisEstimate &E,
-                     const char *Role, const char *Decision) {
-    Svc.traceDecision(U, E, Role, Decision);
-  }
-
   /// The evaluation layer, for callers (custom strategies, tests) that
   /// need the full service API.
   EvaluationService &evaluationService() { return Svc; }
@@ -151,9 +119,9 @@ private:
 
 /// Exhaustive baseline: evaluates every divisor vector and picks the
 /// fastest fitting design, breaking ties by smaller area. Visited lists
-/// every candidate. With Opts.Pool set or Opts.NumThreads > 1 the
-/// candidates are estimated concurrently; the reduction stays in
-/// candidate order, so the result is identical to the sequential one.
+/// every candidate. With Opts.Pool set the candidates are estimated
+/// concurrently on it; the reduction stays in candidate order, so the
+/// result is identical to the sequential one.
 ExplorationResult exploreExhaustive(const Kernel &Source,
                                     const ExplorerOptions &Opts);
 

@@ -44,8 +44,9 @@ public:
   /// "--name value". std::nullopt when absent.
   std::optional<std::string> consumeValue(const std::string &Name);
 
-  /// consumeValue parsed as a non-negative integer; std::nullopt when the
-  /// flag is absent or its value does not parse.
+  /// consumeValue parsed as a non-negative integer: decimal digits only
+  /// (no sign, no blanks), at most UINT_MAX. std::nullopt when the flag
+  /// is absent or its value is anything else.
   std::optional<unsigned> consumeUnsigned(const std::string &Name);
 
   /// consumeValue split on commas, empty pieces dropped. Empty when the

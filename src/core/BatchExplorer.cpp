@@ -25,30 +25,21 @@ void BatchExplorer::addJob(const Kernel &K, ExplorerOptions JobOpts,
 
 namespace {
 
-/// True for the searches that consume every point they prefetch: only
-/// they may fan out onto a lent pool without computing designs nobody
-/// consumes.
-bool consumesEveryPrefetch(const std::string &Strategy) {
-  return Strategy == "exhaustive" || Strategy == "random";
-}
-
 ExplorationResult runJob(const BatchJob &Job,
                          const std::shared_ptr<ThreadPool> &Pool,
                          const std::shared_ptr<EstimateCache> &Cache,
                          const std::shared_ptr<TraceRecorder> &Trace,
                          const std::shared_ptr<CircuitBreakerRegistry>
                              &Breakers) {
-  // A job's parallelism budget is the batch's: NumThreads stays 1, so no
-  // walk speculates. Candidate-list jobs are lent the batch pool (null
-  // for a sequential batch) and fan their candidates out onto it; they
-  // help-wait on their tasks, so nesting cannot deadlock the pool. A job
-  // with its own Estimator stays sequential: parallel work needs a
-  // thread-safe, deterministic backend. The shared cache lets concurrent
-  // jobs feed each other either way.
+  // A job's parallelism budget is the batch's: every job is lent the
+  // batch pool (null for a sequential batch). Only the candidate-list
+  // searches fan out onto it, help-waiting on their tasks so nesting
+  // cannot deadlock the pool; the walks stay sequential. A job with its
+  // own Estimator gets no pool: parallel work needs a thread-safe,
+  // deterministic backend. The shared cache lets concurrent jobs feed
+  // each other either way.
   ExplorerOptions Opts = Job.Opts;
-  Opts.NumThreads = 1;
-  Opts.Pool =
-      consumesEveryPrefetch(Job.Strategy) && !Opts.Estimator ? Pool : nullptr;
+  Opts.Pool = Opts.Estimator ? nullptr : Pool;
   Opts.Cache = Cache;
   if (!Opts.Trace)
     Opts.Trace = Trace;
@@ -118,34 +109,27 @@ std::vector<BatchResult> BatchExplorer::runAll() {
           Journal->recordEvaluation(Key, R);
         });
 
-  bool Parallel = Opts.Pool != nullptr || Opts.NumThreads > 1;
-  if (!Parallel) {
-    for (size_t I = 0; I != Pending.size(); ++I) {
-      Results[I].Result =
-          runJob(Pending[I], nullptr, Cache, Opts.Trace, Opts.Breakers);
-      if (Opts.Journal)
-        journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
-      JobsDone.fetch_add(1, std::memory_order_relaxed);
-    }
+  std::shared_ptr<ThreadPool> Pool = Opts.Pool;
+  if (!Pool && Opts.NumThreads > 1)
+    Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
+  auto Run = [this, &Pool, &Pending, &Results](size_t I) {
+    Results[I].Result =
+        runJob(Pending[I], Pool, Cache, Opts.Trace, Opts.Breakers);
     if (Opts.Journal)
-      Cache->setObserver({});
-    return Results;
+      journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
+    JobsDone.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (!Pool) {
+    for (size_t I = 0; I != Pending.size(); ++I)
+      Run(I);
+  } else {
+    std::vector<std::future<void>> Done;
+    Done.reserve(Pending.size());
+    for (size_t I = 0; I != Pending.size(); ++I)
+      Done.push_back(Pool->submit([&Run, I] { Run(I); }));
+    for (std::future<void> &F : Done)
+      F.wait();
   }
-
-  std::shared_ptr<ThreadPool> Pool =
-      Opts.Pool ? Opts.Pool : std::make_shared<ThreadPool>(Opts.NumThreads);
-  std::vector<std::future<void>> Done;
-  Done.reserve(Pending.size());
-  for (size_t I = 0; I != Pending.size(); ++I)
-    Done.push_back(Pool->submit([this, &Pool, &Pending, &Results, I] {
-      Results[I].Result =
-          runJob(Pending[I], Pool, Cache, Opts.Trace, Opts.Breakers);
-      if (Opts.Journal)
-        journalJob(*Opts.Journal, Results[I].Name, Results[I].Result);
-      JobsDone.fetch_add(1, std::memory_order_relaxed);
-    }));
-  for (std::future<void> &F : Done)
-    F.wait();
   if (Opts.Journal)
     Cache->setObserver({});
   return Results;

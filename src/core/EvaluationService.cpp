@@ -24,7 +24,7 @@
 
 using namespace defacto;
 
-DEFACTO_STATISTIC(NumSpeculated, "explore", "speculated",
+DEFACTO_STATISTIC(NumPrefetched, "explore", "speculated",
                   "candidate designs submitted to the worker pool");
 DEFACTO_STATISTIC(NumWatchdogCancels, "explore", "watchdog-cancels",
                   "estimator invocations cancelled by the hang watchdog");
@@ -90,7 +90,13 @@ EvaluationService::EvaluationService(const Kernel &Source,
     Preference.push_back(R.Pos);
 }
 
-EvaluationService::~EvaluationService() { drainSpeculation(); }
+EvaluationService::~EvaluationService() {
+  // Queued tasks reference this service. Help rather than block: this
+  // thread may be a worker of the same pool, and the tasks may still be
+  // queued behind it.
+  for (std::future<void> &F : Prefetched)
+    Opts.Pool->helpWait(F);
+}
 
 TransformOptions
 EvaluationService::transformOptionsFor(const DesignPoint &P) const {
@@ -151,8 +157,8 @@ void EvaluationService::traceDecision(const DesignPoint &P,
   if (P.Tile)
     Ev.Args.push_back({"tile", std::to_string(P.Tile->first) + "x" +
                                    std::to_string(P.Tile->second)});
-  // Run-variant detail: a design this walk computed sequentially is a
-  // speculation hit (or wait) in a parallel run.
+  // Run-variant detail: a candidate a sequential run computes is a hit
+  // (or wait) on its prefetched entry when a pool fans the list out.
   Ev.Runtime = {{"cache", LastCacheOutcome}};
   R.record(std::move(Ev));
 }
@@ -289,7 +295,7 @@ uint64_t EvaluationService::inFlightEvaluations() {
 Expected<SynthesisEstimate>
 EvaluationService::computeRaw(const DesignPoint &P) const {
   // The single instrumentation chokepoint for evaluation cost: the
-  // sequential walk and the speculation workers both come through here.
+  // sequential walk and the pool workers both come through here.
   // Zero-cost discipline: disabled, this is one relaxed load and a
   // branch on top of compute().
   if (!statsEnabled())
@@ -545,39 +551,18 @@ EvaluationService::evaluated(const DesignPoint &P) const {
   return std::nullopt;
 }
 
-std::shared_ptr<ThreadPool> EvaluationService::workerPool() {
-  if (Opts.Pool)
-    return Opts.Pool;
-  if (Opts.NumThreads <= 1)
-    return nullptr;
-  if (!Pool)
-    Pool = std::make_shared<ThreadPool>(Opts.NumThreads);
-  return Pool;
-}
-
 void EvaluationService::prefetch(const std::vector<UnrollVector> &Candidates) {
-  std::vector<DesignPoint> Points;
-  Points.reserve(Candidates.size());
-  for (const UnrollVector &U : Candidates)
-    Points.push_back(DesignPoint(U));
-  prefetchPoints(Points);
-}
-
-void EvaluationService::prefetchPoints(
-    const std::vector<DesignPoint> &Candidates) {
-  std::shared_ptr<ThreadPool> Workers = workerPool();
-  if (!Workers)
+  if (!Opts.Pool)
     return;
-  for (const DesignPoint &P : Candidates) {
-    if (P.isUnrollOnly() ? !Space.isCandidate(P.Unroll)
-                         : !DSpace.isCandidate(P))
+  for (const UnrollVector &U : Candidates) {
+    if (!Space.isCandidate(U))
       continue;
-    // A point queued once already (the exhaustive list repeats the base
+    // A vector queued once already (the exhaustive list repeats the base
     // vector) needs no second task: it would only wait on the first.
-    if (!SpeculationSlot.emplace(P, Speculation.size()).second)
+    if (!PrefetchSlot.emplace(U, Prefetched.size()).second)
       continue;
-    ++NumSpeculated;
-    Speculation.push_back(Workers->submit([this, P] {
+    ++NumPrefetched;
+    Prefetched.push_back(Opts.Pool->submit([this, P = DesignPoint(U)] {
       auto Found = Estimates->lookupOrBegin(cacheKey(P));
       if (auto *Ticket = std::get_if<EstimateCache::Ticket>(&Found)) {
         // Spans from worker threads show the estimation overlap in the
@@ -586,7 +571,7 @@ void EvaluationService::prefetchPoints(
         TraceSpan Span(recorder(), Track, "speculate", P.toString());
         // Mirror the sequential retry policy (minus the backoff sleeps)
         // so the attempts recorded — and later charged on consumption —
-        // match what the sequential walk would have spent.
+        // match what the sequential search would have spent.
         unsigned Attempts = 1;
         Expected<SynthesisEstimate> Est = computeRaw(P);
         while (!Est && Attempts <= Opts.MaxRetries) {
@@ -598,25 +583,13 @@ void EvaluationService::prefetchPoints(
         Estimates->fulfill(std::move(*Ticket),
                            EstimateCache::Result{std::move(Est), Attempts});
       }
-      // A completed or in-flight entry needs no speculative work.
+      // A completed or in-flight entry needs no second computation.
     }));
   }
 }
 
 void EvaluationService::awaitPrefetched(const UnrollVector &U) {
-  auto It = SpeculationSlot.find(DesignPoint(U));
-  if (It != SpeculationSlot.end())
-    workerPool()->helpWait(Speculation[It->second]);
-}
-
-void EvaluationService::drainSpeculation() {
-  if (!Speculation.empty()) {
-    // Help rather than block: this thread may be a worker of the same
-    // pool, and the tasks it waits on may still be queued behind it.
-    std::shared_ptr<ThreadPool> Workers = workerPool();
-    for (std::future<void> &F : Speculation)
-      Workers->helpWait(F);
-  }
-  Speculation.clear();
-  SpeculationSlot.clear();
+  auto It = PrefetchSlot.find(U);
+  if (It != PrefetchSlot.end())
+    Opts.Pool->helpWait(Prefetched[It->second]);
 }

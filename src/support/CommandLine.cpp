@@ -12,6 +12,7 @@
 #include "defacto/Support/Timer.h"
 #include "defacto/Support/Trace.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 
@@ -64,15 +65,14 @@ std::optional<unsigned> ArgList::consumeUnsigned(const std::string &Name) {
   std::optional<std::string> Value = consumeValue(Name);
   if (!Value)
     return std::nullopt;
-  try {
-    size_t End = 0;
-    unsigned long Parsed = std::stoul(*Value, &End);
-    if (End != Value->size())
-      return std::nullopt;
-    return static_cast<unsigned>(Parsed);
-  } catch (...) {
+  // Digits only, in range: std::stoul would take a sign ("-1" wraps to
+  // UINT_MAX) and leading blanks, and narrowing would fold 2^32 + 1 to 1.
+  unsigned Parsed = 0;
+  const char *End = Value->data() + Value->size();
+  auto [Ptr, Err] = std::from_chars(Value->data(), End, Parsed);
+  if (Err != std::errc() || Ptr != End)
     return std::nullopt;
-  }
+  return Parsed;
 }
 
 std::vector<std::string> ArgList::consumeList(const std::string &Name) {

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The concurrent engine's core guarantee: with a deterministic
-/// estimation backend, a parallel exploration (speculative frontier
-/// evaluation, shared estimate cache, exhaustive fan-out, batch driver)
-/// selects the *bit-identical* design the sequential walk selects, with
-/// the same visit order, trace, and budget accounting. Checked for every
-/// paper kernel on both platforms and for a seeded family of randomly
+/// estimation backend, an exploration given a worker pool (which leaves
+/// the guided walk sequential), a shared estimate cache, the
+/// exhaustive/random candidate fan-out and the batch driver all select
+/// the *bit-identical* design the sequential run selects, with the same
+/// visit order, trace, and budget accounting. Checked for every paper
+/// kernel on both platforms and for a seeded family of randomly
 /// generated kernels.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,13 +53,13 @@ void expectIdentical(const ExplorationResult &Seq,
 }
 
 ExplorationResult runSequential(const Kernel &K, ExplorerOptions Opts) {
-  Opts.NumThreads = 1;
+  Opts.Pool = nullptr;
   return DesignSpaceExplorer(K, std::move(Opts)).run();
 }
 
 ExplorationResult runParallel(const Kernel &K, ExplorerOptions Opts,
                               unsigned Threads = 4) {
-  Opts.NumThreads = Threads;
+  Opts.Pool = std::make_shared<ThreadPool>(Threads);
   return DesignSpaceExplorer(K, std::move(Opts)).run();
 }
 
@@ -136,9 +137,6 @@ TEST(ParallelExplorer, SharedPoolAcrossRunsMatchesToo) {
     Kernel K = buildKernel(Spec.Name);
     ExplorerOptions Opts;
     ExplorerOptions Par = Opts;
-    // NumThreads > 1 is what permits guided speculation; the pool only
-    // says where it runs.
-    Par.NumThreads = 4;
     Par.Pool = Pool;
     Par.Cache = Cache;
     SCOPED_TRACE(Spec.Name);
@@ -165,7 +163,7 @@ TEST(ParallelExplorer, ExhaustiveMatchesSequential) {
     Kernel K = buildKernel(Name);
     ExplorerOptions Seq;
     ExplorerOptions Par;
-    Par.NumThreads = 4;
+    Par.Pool = std::make_shared<ThreadPool>(4);
     SCOPED_TRACE(Name);
     ExplorationResult A = exploreExhaustive(K, Seq);
     ExplorationResult B = exploreExhaustive(K, Par);
@@ -177,7 +175,7 @@ TEST(ParallelExplorer, RandomMatchesSequential) {
   Kernel K = buildKernel("SOBEL");
   ExplorerOptions Seq;
   ExplorerOptions Par;
-  Par.NumThreads = 4;
+  Par.Pool = std::make_shared<ThreadPool>(4);
   expectIdentical(exploreRandom(K, Seq, 12, 42),
                   exploreRandom(K, Par, 12, 42));
 }
@@ -308,10 +306,12 @@ TEST(BatchExplorer, ExhaustiveModeAndSequentialBatchAgree) {
 namespace {
 
 /// One batch's observable outcome, per job: the result and the job's
-/// decision-digest lines (its track in the batch's shared recorder).
+/// decision-digest lines (its track in the batch's shared recorder),
+/// plus the batch's cache counters.
 struct BatchOutcome {
   std::vector<BatchResult> Results;
   std::vector<std::vector<std::string>> Digests;
+  EstimateCache::Stats Cache;
 };
 
 /// Runs \p Jobs (strategy per job) under \p Opts with a fresh cache and
@@ -329,15 +329,31 @@ BatchOutcome runTracedBatch(
                            ExplorerOptions{}, Strategy));
   BatchOutcome Out;
   Out.Results = Engine.runAll();
+  Out.Cache = Opts.Cache->stats();
   std::vector<std::string> Lines = Trace->decisionDigest();
   for (const BatchResult &R : Out.Results) {
-    const std::string Prefix = R.Name + "|";
+    // A portfolio's members trace on sub-tracks ("job/guided").
+    const std::string Prefix = R.Name + "|", SubPrefix = R.Name + "/";
     Out.Digests.emplace_back();
     for (const std::string &L : Lines)
-      if (L.compare(0, Prefix.size(), Prefix) == 0)
+      if (L.compare(0, Prefix.size(), Prefix) == 0 ||
+          L.compare(0, SubPrefix.size(), SubPrefix) == 0)
         Out.Digests.back().push_back(L);
   }
   return Out;
+}
+
+/// Asserts a traced batch matches the sequential one job by job: result,
+/// evaluations and decision digest.
+void expectSameBatch(const BatchOutcome &Seq, const BatchOutcome &Par) {
+  ASSERT_EQ(Par.Results.size(), Seq.Results.size());
+  for (size_t I = 0; I != Seq.Results.size(); ++I) {
+    SCOPED_TRACE(Seq.Results[I].Name);
+    EXPECT_EQ(Par.Results[I].Name, Seq.Results[I].Name);
+    expectIdentical(Seq.Results[I].Result, Par.Results[I].Result);
+    EXPECT_FALSE(Seq.Digests[I].empty());
+    EXPECT_EQ(Seq.Digests[I], Par.Digests[I]);
+  }
 }
 
 uint64_t statValue(const char *Group, const char *Name) {
@@ -370,14 +386,7 @@ TEST(BatchExplorer, CandidateListJobsFanOutAndMatchTheSequentialBatch) {
     if (ExplicitPool)
       Opts.Pool = Pool = std::make_shared<ThreadPool>(Threads);
     BatchOutcome Par = runTracedBatch(Jobs, Opts);
-    ASSERT_EQ(Par.Results.size(), Seq.Results.size());
-    for (size_t I = 0; I != Seq.Results.size(); ++I) {
-      SCOPED_TRACE(Seq.Results[I].Name);
-      EXPECT_EQ(Par.Results[I].Name, Seq.Results[I].Name);
-      expectIdentical(Seq.Results[I].Result, Par.Results[I].Result);
-      EXPECT_FALSE(Seq.Digests[I].empty());
-      EXPECT_EQ(Seq.Digests[I], Par.Digests[I]);
-    }
+    expectSameBatch(Seq, Par);
     // The pool ran the candidates too, not only one task per job.
     if (Pool) {
       EXPECT_GT(Pool->tasksRun(), 2 * Jobs.size());
@@ -385,25 +394,43 @@ TEST(BatchExplorer, CandidateListJobsFanOutAndMatchTheSequentialBatch) {
   }
 }
 
-TEST(BatchExplorer, GuidedJobsNeverSpeculateInsideABatch) {
+TEST(BatchExplorer, WalkJobsStaySequentialOnALentPool) {
+  // Every job is lent the 4-thread batch pool, yet no walk queues a
+  // design on it: nothing is prefetched, and the batch estimates exactly
+  // the designs the sequential batch does.
+  const std::vector<std::pair<std::string, std::string>> Jobs = {
+      {"FIR", "guided"},      {"FIR", "guided+tile"}, {"FIR", "hillclimb"},
+      {"PAT", "guided"},      {"PAT", "guided+tile"}, {"PAT", "hillclimb"},
+      {"JAC", "guided"},      {"JAC", "guided+tile"}, {"JAC", "hillclimb"}};
+  BatchOutcome Seq = runTracedBatch(Jobs, {});
+
   StatRegistry::instance().setEnabled(true);
   uint64_t Before = statValue("explore", "speculated");
-  BatchOptions Batch;
-  Batch.NumThreads = 4;
-  BatchExplorer Engine(Batch);
-  for (const KernelSpec &Spec : paperKernels())
-    for (const char *Strategy : {"guided", "guided+tile"}) {
-      // Even a job asking for its own threads stays sequential: its
-      // parallelism budget is the batch's.
-      ExplorerOptions Opts;
-      Opts.NumThreads = 4;
-      Engine.addJob(buildKernel(Spec.Name), std::move(Opts), Strategy);
-    }
-  std::vector<BatchResult> Results = Engine.runAll();
+  BatchOptions Opts;
+  Opts.NumThreads = 4;
+  Opts.Pool = std::make_shared<ThreadPool>(4);
+  BatchOutcome Par = runTracedBatch(Jobs, Opts);
   uint64_t After = statValue("explore", "speculated");
   StatRegistry::instance().setEnabled(false);
-  EXPECT_EQ(Results.size(), 2 * paperKernels().size());
+
   EXPECT_EQ(After - Before, 0u);
+  EXPECT_EQ(Par.Cache.Misses, Seq.Cache.Misses);
+  expectSameBatch(Seq, Par);
+}
+
+TEST(BatchExplorer, PortfolioJobOnALentPoolMatchesTheSequentialRun) {
+  // Only the random member of the portfolio fans out; the winner, the
+  // evaluations charged and the digest stay those of the sequential run.
+  const std::vector<std::pair<std::string, std::string>> Jobs = {
+      {"FIR", "portfolio"}, {"PAT", "portfolio"}};
+  BatchOutcome Seq = runTracedBatch(Jobs, {});
+  BatchOptions Opts;
+  Opts.NumThreads = 4;
+  Opts.Pool = std::make_shared<ThreadPool>(4);
+  BatchOutcome Par = runTracedBatch(Jobs, Opts);
+  expectSameBatch(Seq, Par);
+  // The random member's candidates ran on the pool too.
+  EXPECT_GT(Opts.Pool->tasksRun(), Jobs.size());
 }
 
 TEST(BatchExplorer, InjectedEstimatorJobsStaySingleThreaded) {

@@ -20,15 +20,15 @@
 ///   * a verbatim copy of the historical two-walk estimateDesign (below),
 ///     which estimateDesign must match bit for bit on the same points and
 ///     on the fuzz_pipeline_test seeds.
-///   * the same explorations at 1 and 8 worker threads, which must agree
-///     with each other and with the golden lines.
+///   * the same explorations with no pool and on an 8-thread pool, which
+///     must agree with each other and with the golden lines.
 ///
 /// It also checks that every kernel handed to the built-in estimator is
 /// verified exactly once.
 ///
 /// Regenerating the golden file (only when a change is meant to move
 /// results): run this binary with DEFACTO_WRITE_ROUTE_GOLDEN=PATH and
-/// --gtest_filter='RouteParity.DesignPointsMatch*'.
+/// --gtest_filter=RouteParity.WriteGolden.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -320,21 +320,34 @@ std::vector<DesignPoint> sampledPoints(const DesignSpace &Space) {
 
 /// Calls \p Fn(Kernel name, platform, point, pipeline result) for every
 /// sampled point of every kernel's design space on both platforms.
-template <typename Fn> void forEachDesignPoint(Fn &&Visit) {
-  for (const KernelSpec *Spec : allKernels()) {
-    Kernel K = buildKernel(Spec->Name);
-    PipelineContext Ctx(K);
-    for (const TargetPlatform &Platform : wildstarPlatforms()) {
-      ExplorerOptions Opts;
-      Opts.Platform = Platform;
-      DesignSpaceExplorer Ex(K, Opts);
-      DesignSpace Space(Ex.space());
-      for (const DesignPoint &P : sampledPoints(Space)) {
-        TransformResult R = applyPipeline(Ctx, transformOptionsFor(P, Platform));
-        Visit(Spec->Name, Platform, P, R);
-      }
-    }
-  }
+/// One sampled design space: a kernel on a platform.
+struct PointSweep {
+  const KernelSpec *Spec;
+  TargetPlatform Platform;
+};
+
+void PrintTo(const PointSweep &S, std::ostream *OS) {
+  *OS << S.Spec->Name << " @ " << S.Platform.Name;
+}
+
+std::vector<PointSweep> pointSweeps() {
+  std::vector<PointSweep> Sweeps;
+  for (const KernelSpec *Spec : allKernels())
+    for (const TargetPlatform &Platform : wildstarPlatforms())
+      Sweeps.push_back({Spec, Platform});
+  return Sweeps;
+}
+
+template <typename Fn>
+void forEachDesignPoint(const PointSweep &S, Fn &&Visit) {
+  Kernel K = buildKernel(S.Spec->Name);
+  PipelineContext Ctx(K);
+  ExplorerOptions Opts;
+  Opts.Platform = S.Platform;
+  DesignSpaceExplorer Ex(K, Opts);
+  DesignSpace Space(Ex.space());
+  for (const DesignPoint &P : sampledPoints(Space))
+    Visit(P, applyPipeline(Ctx, transformOptionsFor(P, S.Platform)));
 }
 
 /// One golden line per design point.
@@ -375,7 +388,8 @@ std::string explorationLine(const ExplorationCase &C, unsigned Threads) {
   Trace->setEnabled(true);
   ExplorerOptions Opts;
   Opts.Platform = C.Platform;
-  Opts.NumThreads = Threads;
+  if (Threads > 1)
+    Opts.Pool = std::make_shared<ThreadPool>(Threads);
   Opts.Trace = Trace;
   Opts.BaseTransforms.Pipeline = C.Pipeline;
   Kernel K = buildKernel(C.Kernel);
@@ -403,12 +417,15 @@ std::string goldenPath() {
   return std::string(DEFACTO_TEST_DIR) + "/golden/route_parity.golden";
 }
 
-std::vector<std::string> readGolden(const std::string &Kind) {
+/// The golden lines of \p Kind whose leading fields start with \p Key
+/// (every line of the kind when empty).
+std::vector<std::string> readGolden(const std::string &Kind,
+                                    const std::string &Key = "") {
   std::ifstream In(goldenPath());
   std::vector<std::string> Lines;
   std::string Line;
   while (std::getline(In, Line))
-    if (Line.rfind(Kind + "\t", 0) == 0)
+    if (Line.rfind(Kind + "\t" + Key, 0) == 0)
       Lines.push_back(Line);
   return Lines;
 }
@@ -425,39 +442,70 @@ static void expectBitEqual(const SynthesisEstimate &A,
   EXPECT_EQ(encodeEstimate(A), encodeEstimate(B));
 }
 
-/// One pass over the sampled design spaces checks both references: the
-/// golden line (printed IR and estimate) and the two-walk oracle.
-TEST(RouteParity, DesignPointsMatchGoldenAndTwoWalkOracle) {
-  const char *WritePath = std::getenv("DEFACTO_WRITE_ROUTE_GOLDEN");
+/// One pass over a sampled design space checks both references: the
+/// golden lines (printed IR and estimate) and the two-walk oracle. One
+/// instance per kernel and platform, so tests/CMakeLists.txt can split
+/// the sweep into ctest entries that each finish within the per-test
+/// timeout under the thread sanitizer.
+class RouteParityPoints : public ::testing::TestWithParam<PointSweep> {};
+
+TEST_P(RouteParityPoints, MatchGoldenAndTwoWalkOracle) {
+  const PointSweep &S = GetParam();
   std::vector<std::string> Lines;
-  forEachDesignPoint([&](const std::string &Kernel,
-                         const TargetPlatform &Platform, const DesignPoint &P,
-                         const TransformResult &R) {
-    Lines.push_back(pointLine(Kernel, Platform, P, R));
-    if (R.ok() && !WritePath) {
-      SCOPED_TRACE(Kernel + " @ " + Platform.Name + " " + P.toString());
-      expectBitEqual(estimateDesign(R.K, Platform),
-                     twoWalkEstimate(R.K, Platform));
+  forEachDesignPoint(S, [&](const DesignPoint &P, const TransformResult &R) {
+    Lines.push_back(pointLine(S.Spec->Name, S.Platform, P, R));
+    if (R.ok()) {
+      SCOPED_TRACE(P.toString());
+      expectBitEqual(estimateDesign(R.K, S.Platform),
+                     twoWalkEstimate(R.K, S.Platform));
     }
   });
 
-  if (WritePath) {
-    for (const ExplorationCase &C : explorationCases())
-      Lines.push_back(explorationLine(C, 1));
-    std::ofstream OS(WritePath);
-    for (const std::string &L : Lines)
-      OS << L << '\n';
-    GTEST_SKIP() << "wrote " << Lines.size() << " golden lines to "
-                 << WritePath;
-  }
-
-  std::vector<std::string> Golden = readGolden("point");
+  std::vector<std::string> Golden =
+      readGolden("point", S.Spec->Name + "\t" + S.Platform.Name + "\t");
   ASSERT_EQ(Lines.size(), Golden.size()) << "golden file " << goldenPath();
   size_t Mismatches = 0;
   for (size_t I = 0; I != Lines.size(); ++I)
     if (Lines[I] != Golden[I] && ++Mismatches <= 10)
       ADD_FAILURE() << "got:    " << Lines[I] << "\nwanted: " << Golden[I];
   EXPECT_EQ(Mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, RouteParityPoints, ::testing::ValuesIn(pointSweeps()),
+    [](const ::testing::TestParamInfo<PointSweep> &Info) {
+      std::string Name = Info.param.Spec->Name + "_" + Info.param.Platform.Name;
+      std::replace(Name.begin(), Name.end(), '-', '_');
+      return Name;
+    });
+
+/// Every golden point line belongs to one of the sweeps above.
+TEST(RouteParity, GoldenPointLinesAllBelongToASweep) {
+  size_t Covered = 0;
+  for (const PointSweep &S : pointSweeps())
+    Covered +=
+        readGolden("point", S.Spec->Name + "\t" + S.Platform.Name + "\t")
+            .size();
+  EXPECT_EQ(Covered, readGolden("point").size());
+}
+
+/// Regenerates the golden file; skipped unless
+/// DEFACTO_WRITE_ROUTE_GOLDEN=PATH is set.
+TEST(RouteParity, WriteGolden) {
+  const char *WritePath = std::getenv("DEFACTO_WRITE_ROUTE_GOLDEN");
+  if (!WritePath)
+    GTEST_SKIP() << "set DEFACTO_WRITE_ROUTE_GOLDEN=PATH to regenerate";
+  std::vector<std::string> Lines;
+  for (const PointSweep &S : pointSweeps())
+    forEachDesignPoint(S, [&](const DesignPoint &P, const TransformResult &R) {
+      Lines.push_back(pointLine(S.Spec->Name, S.Platform, P, R));
+    });
+  for (const ExplorationCase &C : explorationCases())
+    Lines.push_back(explorationLine(C, 1));
+  std::ofstream OS(WritePath);
+  for (const std::string &L : Lines)
+    OS << L << '\n';
+  std::printf("wrote %zu golden lines to %s\n", Lines.size(), WritePath);
 }
 
 TEST(RouteParity, EstimatorMatchesTwoWalkOracleOnFuzzSeeds) {

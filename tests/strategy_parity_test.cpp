@@ -7,9 +7,10 @@
 /// The SearchStrategy / EvaluationService split must not move a single
 /// bit of the guided walk: the same selected design, visit table, walk
 /// trace, accounting, and decisionDigest() — across every seed kernel,
-/// both platforms, and 1/4/8 worker threads — whether the walk runs
-/// through the DesignSpaceExplorer façade, runWithStrategy("guided"), or
-/// a bare strategy over an EvaluationService.
+/// both platforms, and no pool or a 4- or 8-thread one — whether the
+/// walk runs through the DesignSpaceExplorer façade,
+/// runWithStrategy("guided"), or a bare strategy over an
+/// EvaluationService.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,8 @@ ExplorerOptions makeOptions(const TargetPlatform &Platform, unsigned Threads,
                             std::shared_ptr<TraceRecorder> Trace) {
   ExplorerOptions Opts;
   Opts.Platform = Platform;
-  Opts.NumThreads = Threads;
+  if (Threads > 1)
+    Opts.Pool = std::make_shared<ThreadPool>(Threads);
   Opts.Trace = std::move(Trace);
   return Opts;
 }

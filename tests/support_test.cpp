@@ -4,12 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "defacto/Support/CommandLine.h"
 #include "defacto/Support/Diagnostics.h"
 #include "defacto/Support/MathExtras.h"
 #include "defacto/Support/Random.h"
 #include "defacto/Support/Table.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <optional>
+#include <string>
 
 using namespace defacto;
 
@@ -149,4 +154,43 @@ TEST(Diagnostics, LocationRendering) {
   SourceLocation Loc{10, 3};
   EXPECT_TRUE(Loc.isValid());
   EXPECT_EQ(Loc.toString(), "10:3");
+}
+
+namespace {
+
+/// Parses "--threads <Value>" the way a driver does.
+std::optional<unsigned> parseThreads(const std::string &Value) {
+  std::string Argv0 = "driver", Flag = "--threads", Arg = Value;
+  char *Argv[] = {Argv0.data(), Flag.data(), Arg.data()};
+  cl::ArgList Args(3, Argv);
+  std::optional<unsigned> Parsed = Args.consumeUnsigned("--threads");
+  EXPECT_TRUE(Args.empty()); // the flag is consumed even when it is bad
+  return Parsed;
+}
+
+} // namespace
+
+TEST(CommandLine, ConsumeUnsignedAcceptsDigitsUpToUintMax) {
+  EXPECT_EQ(parseThreads("0"), 0u);
+  EXPECT_EQ(parseThreads("7"), 7u);
+  EXPECT_EQ(parseThreads("4294967295"), static_cast<unsigned>(UINT_MAX));
+}
+
+TEST(CommandLine, ConsumeUnsignedRejectsSignsBlanksOverflowAndJunk) {
+  EXPECT_EQ(parseThreads("-1"), std::nullopt);         // no wrap to UINT_MAX
+  EXPECT_EQ(parseThreads("+1"), std::nullopt);
+  EXPECT_EQ(parseThreads("4294967296"), std::nullopt); // UINT_MAX + 1
+  EXPECT_EQ(parseThreads("4294967297"), std::nullopt); // no narrowing to 1
+  EXPECT_EQ(parseThreads(" 7"), std::nullopt);
+  EXPECT_EQ(parseThreads("7 "), std::nullopt);
+  EXPECT_EQ(parseThreads("12abc"), std::nullopt);
+  EXPECT_EQ(parseThreads(""), std::nullopt);
+}
+
+TEST(CommandLine, ConsumeUnsignedAbsentFlagIsNullopt) {
+  std::string Argv0 = "driver", Other = "--csv";
+  char *Argv[] = {Argv0.data(), Other.data()};
+  cl::ArgList Args(2, Argv);
+  EXPECT_EQ(Args.consumeUnsigned("--threads"), std::nullopt);
+  EXPECT_EQ(Args.rest().size(), 1u);
 }

@@ -44,7 +44,8 @@ tracedRun(const std::string &Name, unsigned Threads,
           const TargetPlatform &Platform) {
   ExplorerOptions Opts;
   Opts.Platform = Platform;
-  Opts.NumThreads = Threads;
+  if (Threads > 1)
+    Opts.Pool = std::make_shared<ThreadPool>(Threads);
   Opts.Trace = std::make_shared<TraceRecorder>();
   Opts.Trace->setEnabled(true);
   DesignSpaceExplorer Ex(buildKernel(Name), Opts);
